@@ -28,14 +28,12 @@ from .corruption import (
 from .imputation import (
     BaselineImputer,
     BaselineKind,
-    ImputationModel,
     apply_baseline,
     apply_baseline_matrix,
     fit_independent,
     fit_mean,
     fit_zero,
     impute_dataset,
-    impute_linear,
 )
 from .kernel import (
     KernelMatrix,
@@ -43,12 +41,10 @@ from .kernel import (
     Provenance,
     build_km,
     build_kmn,
-    dump_kernel,
     kernel_gradient_contraction,
     lift,
-    load_kernel,
-    min_eig_low_rank,
     min_eigpair,
+    range_basis,
 )
 from .solver import (
     Diagnostics,

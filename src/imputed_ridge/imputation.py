@@ -13,7 +13,6 @@ own least-squares problem.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,59 +29,6 @@ class BaselineKind(Enum):
     INDEPENDENT = "ind"
 
 
-def _matrix_to_obj(A):
-    A = np.asarray(A, dtype=float)
-    return {"rows": A.shape[0], "cols": A.shape[1], "data": A.ravel().tolist()}
-
-
-def _matrix_from_obj(obj):
-    A = np.asarray(obj["data"], dtype=float)
-    return A.reshape(int(obj["rows"]), int(obj["cols"]))
-
-
-@dataclass(frozen=True)
-class ImputationModel:
-    """A Frobenius-bounded linear imputation map.
-
-    Feasibility ||M||_F <= gamma is enforced at construction (small
-    numerical slack); use ``projected`` to clip an arbitrary matrix
-    onto the ball first.
-    """
-
-    M: np.ndarray
-    gamma: float
-
-    def __post_init__(self):
-        M = np.asarray(self.M, dtype=float)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "gamma", float(self.gamma))
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError("M must be square")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-        if float(np.linalg.norm(M)) > self.gamma + FEASIBILITY_SLACK:
-            raise ValueError(
-                f"||M||_F = {np.linalg.norm(M):.6g} exceeds budget gamma = {self.gamma}"
-            )
-
-    @classmethod
-    def projected(cls, M, gamma) -> "ImputationModel":
-        """Radially scale M onto the Frobenius ball of radius gamma."""
-        M = np.asarray(M, dtype=float)
-        norm = float(np.linalg.norm(M))
-        if norm > gamma and norm > 0:
-            M = M * (gamma / norm)
-        return cls(M, gamma)
-
-    def to_json(self) -> str:
-        return json.dumps({"M": _matrix_to_obj(self.M), "gamma": self.gamma})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ImputationModel":
-        obj = json.loads(text)
-        return cls(_matrix_from_obj(obj["M"]), float(obj["gamma"]))
-
-
 def impute_dataset(M, X, Z) -> np.ndarray:
     """Fill every row of (X, Z) through the linear map M.
 
@@ -92,15 +38,6 @@ def impute_dataset(M, X, Z) -> np.ndarray:
     """
     M = np.asarray(M, dtype=float)
     return X + (1.0 - Z) * (X @ M)
-
-
-def impute_linear(model: ImputationModel, sample: CorruptedSample) -> np.ndarray:
-    """Fill one sample's masked coordinates through the model's map."""
-    if model.M.shape[0] != sample.d:
-        raise ValueError(
-            f"model dimension {model.M.shape[0]} does not match sample dimension {sample.d}"
-        )
-    return sample.xt + (1.0 - sample.z) * (model.M.T @ sample.xt)
 
 
 @dataclass(frozen=True)
@@ -124,21 +61,6 @@ class BaselineImputer:
             raise ValueError("mean imputer needs fitted means")
         if self.kind is BaselineKind.INDEPENDENT and self.M_ind is None:
             raise ValueError("independent imputer needs a fitted map")
-
-    def to_json(self) -> str:
-        obj = {"kind": self.kind.value}
-        if self.means is not None:
-            obj["means"] = self.means.tolist()
-        if self.M_ind is not None:
-            obj["M"] = _matrix_to_obj(self.M_ind)
-        return json.dumps(obj)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BaselineImputer":
-        obj = json.loads(text)
-        means = np.asarray(obj["means"], dtype=float) if "means" in obj else None
-        M = _matrix_from_obj(obj["M"]) if "M" in obj else None
-        return cls(BaselineKind(obj["kind"]), means=means, M_ind=M)
 
 
 def fit_zero() -> BaselineImputer:

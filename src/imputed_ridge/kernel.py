@@ -13,7 +13,10 @@ where Zb_i is the diagonal of row i's missingness indicator.  Choosing
 N_k as the outer product of column k of M with itself recovers the
 exact matrix on corrupted coordinates, so the affine family contains
 every exact one; the price is that a free N can make the matrix
-indefinite, which the solver polices with eigenvector cuts.
+indefinite, which the solver polices with eigenvector cuts.  Whatever
+(M, N) is, the matrix maps into the span of X's columns and their
+masked copies (range_basis), so its smallest eigenvalue comes from one
+small dense eigenproblem on that span (min_eigpair).
 
 Budgets are Frobenius balls: ||M||_F <= gamma and
 sqrt(sum_k ||N_k||_F^2) <= gamma^2.
@@ -21,19 +24,14 @@ sqrt(sum_k ||N_k||_F^2) <= gamma^2.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .dataset import Dataset
 from .imputation import FEASIBILITY_SLACK, impute_dataset
-
-# Below this order, a full dense eigendecomposition is cheaper than ARPACK.
-DENSE_EIG_CUTOFF = 256
 
 
 class Provenance(Enum):
@@ -192,98 +190,47 @@ def kernel_gradient_contraction(train: Dataset, alpha):
     return G_M, LiftedTensor(slices, norm)
 
 
-def min_eigpair(K):
-    """Smallest eigenvalue and a unit eigenvector of a symmetric matrix.
+def range_basis(X, Zb, active) -> np.ndarray:
+    """Orthonormal basis of a subspace holding the range of every K(M, N).
 
-    Dense orders use a full symmetric decomposition.  Larger ones run
-    shifted Lanczos: with sigma an upper bound on the spectrum (max
-    absolute row sum), the top eigenpair of sigma*I - K maps back to
-    the bottom of K.  The start vector is fixed so results do not
-    depend on global random state, and a stalled ARPACK run (clustered
-    spectra do that at tight tolerance) falls back to the dense path.
+    Each relaxed Gram maps into the span of B = [X, Zb[:, k] * X for k
+    in active], whatever (M, N) is, so one basis per training set serves
+    every outer iteration.  Pivoted QR of B, truncated where the
+    diagonal of R falls below 1e-12 of its largest entry; an identically
+    zero X gives an m x 0 basis.
+    """
+    B = np.concatenate([X] + [Zb[:, [k]] * X for k in active], axis=1)
+    Q, R, _ = scipy.linalg.qr(B, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int((diag > diag[0] * 1e-12).sum()) if diag.size and diag[0] > 0 else 0
+    return Q[:, :rank]
+
+
+def min_eigpair(K, Q):
+    """Smallest eigenvalue of K, with a unit eigenvector when it is negative.
+
+    ``Q`` is an m x r orthonormal basis whose span contains range(K),
+    as range_basis returns for a relaxed Gram.  The nonzero eigenvalues
+    of K are those of the r x r matrix Q' K Q, and when r < m the
+    orthogonal complement adds an exact zero, so the smallest eigenvalue
+    is min(w0, 0) there and w0 itself when Q is square.  Returns
+    (eigenvalue, vector-or-None); the vector is only materialized when
+    the eigenvalue is negative, the only case a cut needs it.  Raises
+    ValueError when K is not symmetric on the span of Q.
     """
     A = K.K if isinstance(K, KernelMatrix) else np.asarray(K, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.allclose(A, A.T, rtol=1e-9, atol=1e-9):
-        raise ValueError("matrix must be symmetric")
-    n = A.shape[0]
-    if n <= DENSE_EIG_CUTOFF:
-        w, U = np.linalg.eigh(A)
-        v = U[:, 0].copy()
-        return float(w[0]), v / np.linalg.norm(v)
-    sigma = float(np.abs(A).sum(axis=1).max())
-    if sigma == 0.0:
-        v = np.zeros(n)
-        v[0] = 1.0
-        return 0.0, v
-    B = sigma * np.eye(n) - A
-    v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        # a low iteration cap makes clustered spectra fail over to the
-        # dense path quickly instead of burning thousands of matvecs
-        vals, vecs = eigsh(
-            B, k=1, which="LA", maxiter=300, tol=1e-10, v0=v0, ncv=min(n, 48)
-        )
-    except ArpackNoConvergence:
-        w, U = np.linalg.eigh(A)
-        v = U[:, 0].copy()
-        return float(w[0]), v / np.linalg.norm(v)
-    v = vecs[:, 0]
-    return float(sigma - vals[0]), v / np.linalg.norm(v)
-
-
-def min_eig_low_rank(K, basis):
-    """Smallest eigenvalue of K given a spanning set for its range.
-
-    ``basis`` is an m x c matrix whose columns span range(K) with
-    c < m.  All nonzero eigenvalues of K live in that subspace, and the
-    complement contributes an exact zero eigenvalue.  Returns
-    (eigenvalue, eigenvector-or-None); the vector is only materialized
-    when the eigenvalue is negative, which is the only case the solver
-    needs it.
-    """
-    m = K.shape[0]
-    Q, R, _ = scipy.linalg.qr(basis, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] <= 0.0:
+    m, r = Q.shape
+    if A.shape != (m, m):
+        raise ValueError("kernel must be square with one row per basis row")
+    if r == 0:
         return 0.0, None
-    rank = int((diag > diag[0] * 1e-12).sum())
-    Q = Q[:, :rank]
-    small = Q.T @ (K @ Q)
+    small = Q.T @ (A @ Q)
+    if np.abs(small - small.T).max() > 1e-9 * np.abs(small).max():
+        raise ValueError("matrix must be symmetric")
     small = 0.5 * (small + small.T)
     w, U = np.linalg.eigh(small)
-    lam = float(w[0])
-    if rank < m and lam > 0.0:
-        return 0.0, None
+    lam = float(w[0]) if r == m else float(min(w[0], 0.0))
     if lam < 0.0:
         v = Q @ U[:, 0]
         return lam, v / np.linalg.norm(v)
     return lam, None
-
-
-def dump_kernel(K, path):
-    """Write a kernel matrix to a flat binary file.
-
-    Layout: 8-byte header of two little-endian uint32 (rows, cols),
-    then the entries as row-major little-endian float64.
-    """
-    A = K.K if isinstance(K, KernelMatrix) else np.asarray(K, dtype=float)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", A.shape[0], A.shape[1]))
-        fh.write(np.ascontiguousarray(A, dtype="<f8").tobytes())
-
-
-def load_kernel(path) -> np.ndarray:
-    """Read a matrix written by dump_kernel."""
-    with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) != 8:
-            raise ValueError(f"{path}: truncated header")
-        rows, cols = struct.unpack("<II", header)
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != rows * cols:
-        raise ValueError(
-            f"{path}: expected {rows * cols} entries, found {data.size}"
-        )
-    return data.reshape(rows, cols).astype(float)

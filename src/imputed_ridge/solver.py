@@ -14,7 +14,10 @@ which this module minimizes with cutting planes:
   2. re-minimize the active-set maximum over the Frobenius balls with
      projected subgradient steps;
   3. if the current kernel has a negative eigenvalue, add the affine
-     constraint v' K(M, N) v >= 0 for the offending eigenvector;
+     constraint v' K(M, N) v >= 0 for the offending eigenvector; the
+     eigenpair comes from one dense eigendecomposition of K projected
+     onto a fixed orthonormal basis of its range (kernel.range_basis),
+     computed once per solve, whatever the problem's shape;
   4. stop when the incumbent's value and the master value agree to
      relative tolerance.
 
@@ -41,9 +44,9 @@ from .kernel import (
     Provenance,
     assemble_relaxed,
     lift,
-    min_eig_low_rank,
     min_eigpair,
     quad_factors,
+    range_basis,
 )
 
 
@@ -321,19 +324,7 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
 
     XXt = X @ X.T
     Zba = Zb[:, active]
-
-    # The relaxed Gram's range lies in the span of X's columns and their
-    # per-feature masked copies.  When that span is thin relative to m,
-    # the semidefiniteness check reduces to a small dense eigenproblem
-    # on a fixed orthonormal basis instead of an iterative solve.
-    basis_width = d * (1 + a)
-    use_low_rank = basis_width <= min(m // 2, 600)
-    if use_low_rank:
-        basis = np.concatenate([X] + [Zba[:, [j]] * X for j in range(a)], axis=1)
-        Qb, Rb, _ = scipy.linalg.qr(basis, mode="economic", pivoting=True)
-        db = np.abs(np.diag(Rb))
-        rank = int((db > db[0] * 1e-12).sum()) if db.size and db[0] > 0 else 0
-        Qb = Qb[:, :rank]
+    Qb = range_basis(X, Zb, active)
 
     dM = d * a  # split point between the M and N blocks of the flat variable
     x = np.zeros(dM + a * d * d)
@@ -353,29 +344,7 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
         Ns = x[dM:].reshape(a, d, d)
         K = assemble_relaxed(X, Zb, _scatter(Ma, active, d), Ns, active, base=XXt)
 
-        if use_low_rank:
-            if rank == 0:
-                lam_min, vmin = 0.0, None
-            else:
-                small = Qb.T @ (K @ Qb)
-                small = 0.5 * (small + small.T)
-                w, U = np.linalg.eigh(small)
-                lam_min = float(min(w[0], 0.0))  # rank < m adds a zero eigenvalue
-                vmin = None
-                if w[0] < 0.0:
-                    vmin = Qb @ U[:, 0]
-                    vmin /= np.linalg.norm(vmin)
-        else:
-            # A Cholesky attempt on K + eps*I certifies lam_min > -eps at a
-            # third of the cost of an eigendecomposition; the exact pair is
-            # only materialized when the certificate fails and a cut is due.
-            shifted = K.copy()
-            shifted.flat[:: m + 1] += cfg.eps_psd
-            try:
-                scipy.linalg.cho_factor(shifted, check_finite=False)
-                lam_min, vmin = 0.0, None
-            except np.linalg.LinAlgError:
-                lam_min, vmin = min_eigpair(K)
+        lam_min, vmin = min_eigpair(K, Qb)
 
         try:
             alpha = _shifted_solve(K, y, mlam)

@@ -4,50 +4,22 @@ import pytest
 from imputed_ridge import (
     BaselineImputer,
     BaselineKind,
-    CorruptedSample,
     Dataset,
-    ImputationModel,
     apply_baseline,
     apply_baseline_matrix,
     fit_independent,
     fit_mean,
     fit_zero,
     impute_dataset,
-    impute_linear,
 )
 from tests.conftest import random_corrupted
-
-
-def test_model_budget_enforced():
-    M = np.eye(2) * 3.0  # norm sqrt(18)
-    with pytest.raises(ValueError, match="budget"):
-        ImputationModel(M, gamma=1.0)
-    ImputationModel(M, gamma=5.0)
-
-
-def test_model_projection():
-    M = np.full((3, 3), 2.0)
-    mod = ImputationModel.projected(M, gamma=1.0)
-    assert np.linalg.norm(mod.M) == pytest.approx(1.0)
-    # direction preserved
-    assert np.allclose(mod.M / np.linalg.norm(mod.M), M / np.linalg.norm(M))
-
-
-def test_model_json_round_trip(rng):
-    M = rng.standard_normal((4, 4))
-    mod = ImputationModel.projected(M, gamma=2.0)
-    back = ImputationModel.from_json(mod.to_json())
-    np.testing.assert_allclose(back.M, mod.M)
-    assert back.gamma == mod.gamma
 
 
 def test_impute_linear_hand_case():
     """d=2, second coordinate masked: the fill is M[0,1] * x1."""
     M = np.array([[0.0, 0.7], [0.3, 0.0]])
-    mod = ImputationModel(M, gamma=2.0)
-    s = CorruptedSample(np.array([2.0, 0.0]), np.array([1.0, 0.0]), 0.0)
-    filled = impute_linear(mod, s)
-    np.testing.assert_allclose(filled, [2.0, 1.4])
+    filled = impute_dataset(M, np.array([[2.0, 0.0]]), np.array([[1.0, 0.0]]))
+    np.testing.assert_allclose(filled, [[2.0, 1.4]])
 
 
 def test_impute_preserves_observed(rng):
@@ -60,17 +32,10 @@ def test_impute_preserves_observed(rng):
 def test_impute_matrix_matches_per_sample(rng):
     ds = random_corrupted(rng, 15, 4)
     M = rng.standard_normal((4, 4)) * 0.3
-    mod = ImputationModel(M, gamma=np.linalg.norm(M) + 1e-12)
     filled = impute_dataset(M, ds.X, ds.Z)
     for i in range(ds.m):
-        np.testing.assert_allclose(filled[i], impute_linear(mod, ds.sample(i)), atol=1e-12)
-
-
-def test_impute_dimension_mismatch():
-    mod = ImputationModel(np.zeros((3, 3)), gamma=1.0)
-    s = CorruptedSample(np.zeros(2), np.ones(2), 0.0)
-    with pytest.raises(ValueError):
-        impute_linear(mod, s)
+        s = ds.sample(i)
+        np.testing.assert_allclose(filled[i], s.xt + (1.0 - s.z) * (M.T @ s.xt), atol=1e-12)
 
 
 def test_fit_zero_keeps_zeros(rng):
@@ -136,17 +101,6 @@ def test_baselines_preserve_observed(rng):
     for imp in (fit_zero(), fit_mean(ds), fit_independent(ds)):
         filled = apply_baseline_matrix(imp, ds.X, ds.Z)
         np.testing.assert_array_equal(filled[ds.Z == 1.0], ds.X[ds.Z == 1.0])
-
-
-def test_imputer_json_round_trip(rng):
-    ds = random_corrupted(rng, 20, 3)
-    for imp in (fit_zero(), fit_mean(ds), fit_independent(ds)):
-        back = BaselineImputer.from_json(imp.to_json())
-        assert back.kind == imp.kind
-        if imp.means is not None:
-            np.testing.assert_allclose(back.means, imp.means)
-        if imp.M_ind is not None:
-            np.testing.assert_allclose(back.M_ind, imp.M_ind)
 
 
 def test_imputer_validation():

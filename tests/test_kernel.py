@@ -3,17 +3,17 @@ import pytest
 
 from imputed_ridge import (
     Dataset,
+    Hyperparams,
     KernelMatrix,
     LiftedTensor,
     Provenance,
     build_km,
     build_kmn,
-    dump_kernel,
     kernel_gradient_contraction,
     lift,
-    load_kernel,
-    min_eig_low_rank,
     min_eigpair,
+    range_basis,
+    solve_irr,
 )
 from imputed_ridge.kernel import quad_factors
 from tests.conftest import random_corrupted
@@ -134,58 +134,91 @@ def test_gradient_alpha_shape_check(rng):
         kernel_gradient_contraction(ds, np.zeros(5))
 
 
-def test_min_eigpair_dense(rng):
-    A = rng.standard_normal((40, 40))
-    A = 0.5 * (A + A.T)
-    lam, v = min_eigpair(A)
-    w = np.linalg.eigvalsh(A)
-    assert lam == pytest.approx(w[0], abs=1e-10)
-    np.testing.assert_allclose(A @ v, lam * v, atol=1e-8)
+def orthonormal(B):
+    return np.linalg.qr(B)[0]
+
+
+def test_min_eigpair_indefinite_agrees(rng):
+    m, c = 50, 6
+    B = rng.standard_normal((m, c))
+    C = np.diag([-2.0, -0.5, 0.3, 1.0, 2.0, 3.0])
+    K = B @ C @ B.T  # indefinite, range inside span(B)
+    lam, v = min_eigpair(K, orthonormal(B))
+    w = np.linalg.eigvalsh(K)
+    assert lam == pytest.approx(w[0], abs=1e-8)
     assert np.linalg.norm(v) == pytest.approx(1.0)
-
-
-def test_min_eigpair_iterative(rng):
-    # above the dense cutoff the shifted Lanczos path runs
-    n = 300
-    A = rng.standard_normal((n, n))
-    A = 0.5 * (A + A.T)
-    lam, v = min_eigpair(A)
-    w = np.linalg.eigvalsh(A)
-    assert lam == pytest.approx(w[0], rel=1e-8, abs=1e-8)
-    np.testing.assert_allclose(A @ v, lam * v, atol=1e-6)
+    np.testing.assert_allclose(K @ v, lam * v, atol=1e-7)
 
 
 def test_min_eigpair_psd_input(rng):
+    # rank-deficient PSD matrix: the complement of its range supplies an
+    # exact zero, which no rounding in the projected eigenproblem can move
     B = rng.standard_normal((20, 8))
-    lam, _ = min_eigpair(B @ B.T)
-    assert lam >= -1e-10
+    lam, v = min_eigpair(B @ B.T, orthonormal(B))
+    assert lam == 0.0
+    assert v is None
+
+
+def test_min_eigpair_dense(rng):
+    # a full-rank basis has no complement: w0 is reported as it is,
+    # negative or positive
+    n = 40
+    A = rng.standard_normal((n, n))
+    A = 0.5 * (A + A.T)
+    Q = orthonormal(rng.standard_normal((n, n)))
+    lam, v = min_eigpair(A, Q)
+    assert lam == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
+    np.testing.assert_allclose(A @ v, lam * v, atol=1e-8)
+    P = A @ A.T + np.eye(n)
+    lam, v = min_eigpair(P, Q)
+    assert lam == pytest.approx(np.linalg.eigvalsh(P)[0], rel=1e-10)
+    assert lam >= 1.0 - 1e-9
+    assert v is None
+
+
+def test_range_basis_holds_relaxed_kernel(rng):
+    # 30 rows leave a complement to span B; the 4-row mask with one
+    # missing entry per feature makes span B all of R^4
+    Z4 = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    X4 = rng.random((4, 3))
+    for ds in (random_corrupted(rng, 30, 3), Dataset(X4 * Z4, Z4, np.zeros(4))):
+        m = ds.m
+        Zb = 1.0 - ds.Z
+        Q = range_basis(ds.X, Zb, np.flatnonzero(Zb.any(axis=0)))
+        np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-12)
+        K = build_kmn(ds, rng.standard_normal((3, 3)), random_lifted(rng, 3)).K
+        P = Q @ Q.T
+        np.testing.assert_allclose(P @ K @ P, K, atol=1e-9 * np.abs(K).max())
+        lam, _ = min_eigpair(K, Q)
+        w0 = np.linalg.eigvalsh(K)[0]
+        assert (Q.shape[1] == m) == (m == 4)
+        expect = w0 if Q.shape[1] == m else min(w0, 0.0)
+        assert lam == pytest.approx(expect, abs=1e-9 * np.abs(K).max())
 
 
 def test_min_eigpair_rejects_asymmetric(rng):
     with pytest.raises(ValueError):
-        min_eigpair(rng.standard_normal((5, 5)))
+        min_eigpair(rng.standard_normal((5, 5)), np.eye(5))
 
 
-def test_min_eig_low_rank_agrees(rng):
-    m, c = 50, 6
-    B = rng.standard_normal((m, c))
-    C = rng.standard_normal((c, c))
-    C = 0.5 * (C + C.T)
-    K = B @ C @ B.T  # range inside span(B), possibly indefinite
-    lam, v = min_eig_low_rank(K, B)
-    w = np.linalg.eigvalsh(K)
-    assert lam == pytest.approx(min(w[0], 0.0), abs=1e-8)
-    if v is not None:
-        np.testing.assert_allclose(K @ v, lam * v, atol=1e-7)
-
-
-def test_min_eig_low_rank_psd_reports_zero(rng):
-    # rank-deficient PSD matrix: the nullspace supplies an exact zero
-    B = rng.standard_normal((30, 4))
-    K = B @ B.T
-    lam, v = min_eig_low_rank(K, B)
-    assert lam == 0.0
-    assert v is None
+def test_min_eigpair_rank_zero_basis():
+    # X identically zero with masked entries: the basis is empty, the
+    # kernel is zero, and the solve is plain ridge on the zero-filled rows
+    m, d = 6, 3
+    Z = np.ones((m, d))
+    Z[::2, 1] = 0.0
+    y = np.linspace(-1.0, 1.0, m)
+    ds = Dataset(np.zeros((m, d)), Z, y)
+    Zb = 1.0 - Z
+    Q = range_basis(ds.X, Zb, np.flatnonzero(Zb.any(axis=0)))
+    assert Q.shape == (m, 0)
+    assert min_eigpair(np.zeros((m, m)), Q) == (0.0, None)
+    hp = Hyperparams(lam=0.5, gamma=1.0)
+    sol = solve_irr(ds, hp)
+    np.testing.assert_allclose(sol.alpha, y / (m * hp.lam))
+    assert sol.diagnostics.objective == pytest.approx(y @ y / (m * hp.lam))
+    assert sol.diagnostics.converged
+    np.testing.assert_array_equal(sol.M, 0.0)
 
 
 def test_lifted_tensor_budget():
@@ -199,24 +232,3 @@ def test_kernel_matrix_symmetry_check(rng):
     A = rng.standard_normal((4, 4))
     with pytest.raises(ValueError):
         KernelMatrix(A, Provenance.EXACT)
-
-
-def test_dump_load_round_trip(rng, tmp_path):
-    ds = random_corrupted(rng, 7, 3)
-    K = build_km(ds, rng.standard_normal((3, 3)))
-    path = tmp_path / "k.bin"
-    dump_kernel(K, path)
-    back = load_kernel(path)
-    np.testing.assert_array_equal(back, K.K)
-
-
-def test_load_kernel_truncated(tmp_path):
-    p = tmp_path / "bad.bin"
-    p.write_bytes(b"\x01\x02")
-    with pytest.raises(ValueError, match="truncated"):
-        load_kernel(p)
-    import struct as st
-
-    p.write_bytes(st.pack("<II", 3, 3) + b"\x00" * 16)
-    with pytest.raises(ValueError, match="expected"):
-        load_kernel(p)

@@ -176,6 +176,30 @@ def test_solver_deterministic(rng):
     assert s1.diagnostics == s2.diagnostics
 
 
+def test_wide_basis_refit_repeatable_and_psd():
+    """Basis width d(1+a) = 272 just below m = 280, many cuts.
+
+    Two fits in one process agree bit for bit, and the returned relaxed
+    kernel is PSD within eps_psd plus rounding.
+    """
+    rng = np.random.default_rng(18)
+    m, d = 280, 16
+    F = rng.standard_normal((m, 3))
+    X = F @ rng.standard_normal((3, d)) + 0.1 * rng.standard_normal((m, d))
+    X = (X - X.min(axis=0)) / (X.max(axis=0) - X.min(axis=0))
+    y = F @ rng.standard_normal(3) + 0.1 * rng.standard_normal(m)
+    Z = corrupt_independent(X, 0.6, 18)
+    ds = Dataset(X * Z, Z, y)
+    hp = Hyperparams(lam=2.0**-5, gamma=2.0**-3)
+    s1 = solve_irr(ds, hp)
+    s2 = solve_irr(ds, hp)
+    assert s1.diagnostics == s2.diagnostics
+    np.testing.assert_array_equal(s1.alpha, s2.alpha)
+    K = build_kmn(ds, s1.M, s1.N).K
+    floor = -SolverConfig().eps_psd - 1e-9 * np.abs(K).max()
+    assert np.linalg.eigvalsh(K)[0] >= floor
+
+
 def test_predict_single_matches_batch(rng):
     ds = random_corrupted(rng, 10, 3)
     sol = solve_irr(ds, Hyperparams(lam=0.5, gamma=0.5))
