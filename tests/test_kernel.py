@@ -159,6 +159,19 @@ def test_min_eigpair_psd_input(rng):
     assert v is None
 
 
+def test_min_eig_low_rank_psd_reports_zero(rng):
+    # rank-deficient PSD matrix B B' with the basis taken by range_basis
+    # from the raw factor B (no active columns): the nullspace supplies
+    # an exact zero
+    B = rng.standard_normal((30, 4))
+    K = B @ B.T
+    Q = range_basis(B, np.zeros_like(B), [])
+    assert Q.shape == (30, 4)
+    lam, v = min_eigpair(K, Q)
+    assert lam == 0.0
+    assert v is None
+
+
 def test_min_eigpair_dense(rng):
     # a full-rank basis has no complement: w0 is reported as it is,
     # negative or positive
