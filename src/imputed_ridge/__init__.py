@@ -45,6 +45,7 @@ from .kernel import (
     lift,
     min_eigpair,
     range_basis,
+    relaxed_core,
 )
 from .solver import (
     Diagnostics,

@@ -13,10 +13,20 @@ where Zb_i is the diagonal of row i's missingness indicator.  Choosing
 N_k as the outer product of column k of M with itself recovers the
 exact matrix on corrupted coordinates, so the affine family contains
 every exact one; the price is that a free N can make the matrix
-indefinite, which the solver polices with eigenvector cuts.  Whatever
-(M, N) is, the matrix maps into the span of X's columns and their
-masked copies (range_basis), so its smallest eigenvalue comes from one
-small dense eigenproblem on that span (min_eigpair).
+indefinite, which the solver polices with eigenvector cuts.
+
+Whatever (M, N) is, the matrix factors through X's columns and their
+masked copies, B = [X, Zb_k * X for the a features k with a masked
+entry]: K = B S(M, N) B' with a c x c matrix S, c = d(1 + a), whose
+blocks are I on the X block, M[:, k] e_k' between the X block and
+block k, and N_k on block k.  With B = Q R (range_basis, Q orthonormal
+m x r, r <= c the rank of B), K = Q T Q' for the r x r core
+T = R S R' (relaxed_core).  So the solver never forms K: the
+eigenvalues of K are those of T plus, when r < m, zeros on the
+complement of span Q, and one eigendecomposition of T (min_eigpair)
+gives both the PSD certificate and the ridge solve.  build_kmn
+(through assemble_relaxed) still forms the m x m matrix, for callers
+that need K itself, such as theory's empirical capacity estimate.
 
 Budgets are Frobenius balls: ||M||_F <= gamma and
 sqrt(sum_k ||N_k||_F^2) <= gamma^2.
@@ -124,16 +134,15 @@ def build_km(train: Dataset, M) -> KernelMatrix:
     return KernelMatrix(0.5 * (G + G.T), Provenance.EXACT)
 
 
-def assemble_relaxed(X, Zb, M, slices, active, base=None) -> np.ndarray:
+def assemble_relaxed(X, Zb, M, slices, active) -> np.ndarray:
     """Relaxed Gram from raw arrays.
 
     ``slices`` holds one d x d matrix per index in ``active`` (features
     with at least one masked entry); inactive features contribute
-    nothing because their zb column is identically zero.  ``base`` may
-    carry a precomputed X X' to skip the dominant product.
+    nothing because their zb column is identically zero.
     """
     m = X.shape[0]
-    G = X @ X.T if base is None else base.copy()
+    G = X @ X.T
     C = Zb * (X @ M)
     T2 = C @ X.T
     G = G + T2 + T2.T
@@ -190,47 +199,72 @@ def kernel_gradient_contraction(train: Dataset, alpha):
     return G_M, LiftedTensor(slices, norm)
 
 
-def range_basis(X, Zb, active) -> np.ndarray:
-    """Orthonormal basis of a subspace holding the range of every K(M, N).
+def range_basis(X, Zb, active):
+    """Factor B = [X, Zb[:, k] * X for k in active] as B = Q R.
 
-    Each relaxed Gram maps into the span of B = [X, Zb[:, k] * X for k
-    in active], whatever (M, N) is, so one basis per training set serves
-    every outer iteration.  Pivoted QR of B, truncated where the
-    diagonal of R falls below 1e-12 of its largest entry; an identically
-    zero X gives an m x 0 basis.
+    Every relaxed Gram is B S(M, N) B', so Q is an orthonormal basis
+    holding the range of every K(M, N) and one factorization per
+    training set serves every outer iteration.  Pivoted QR of B,
+    truncated where the diagonal of R falls below 1e-12 of its largest
+    entry: Q is m x r and R is r x c with its columns in B's order, r
+    the numerical rank.  An identically zero X gives r = 0.
     """
     B = np.concatenate([X] + [Zb[:, [k]] * X for k in active], axis=1)
-    Q, R, _ = scipy.linalg.qr(B, mode="economic", pivoting=True)
+    Q, R, piv = scipy.linalg.qr(B, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     rank = int((diag > diag[0] * 1e-12).sum()) if diag.size and diag[0] > 0 else 0
-    return Q[:, :rank]
+    R_b = np.empty((rank, B.shape[1]))
+    R_b[:, piv] = R[:rank]
+    return Q[:, :rank], R_b
 
 
-def min_eigpair(K, Q):
-    """Smallest eigenvalue of K, with a unit eigenvector when it is negative.
+def relaxed_core(R, M, slices, active) -> np.ndarray:
+    """The r x r core T = R S(M, N) R' of the relaxed Gram K = Q T Q'.
 
-    ``Q`` is an m x r orthonormal basis whose span contains range(K),
-    as range_basis returns for a relaxed Gram.  The nonzero eigenvalues
-    of K are those of the r x r matrix Q' K Q, and when r < m the
-    orthogonal complement adds an exact zero, so the smallest eigenvalue
-    is min(w0, 0) there and w0 itself when Q is square.  Returns
-    (eigenvalue, vector-or-None); the vector is only materialized when
-    the eigenvalue is negative, the only case a cut needs it.  Raises
-    ValueError when K is not symmetric on the span of Q.
+    ``R`` is the second factor of range_basis for the same ``active``;
+    ``M`` and ``slices`` are as for assemble_relaxed.  With R split
+    into d-column blocks R_0 (the X block) and R_k (block k):
+
+        T = R_0 R_0' + sum_k [(R_k M[:, k]) R_0[:, k]' + transpose]
+                     + sum_k R_k N_k R_k'
+
+    which costs O(r a d^2 + r^2 a d) and nothing in m.
     """
-    A = K.K if isinstance(K, KernelMatrix) else np.asarray(K, dtype=float)
+    active = np.asarray(active, dtype=int)
+    r, d = R.shape[0], M.shape[0]
+    R0 = R[:, :d]
+    Rk = R[:, d:].reshape(r, active.size, d)  # Rk[:, k, :] is block k
+    P = np.einsum("iks,sk->ik", Rk, M[:, active]) @ R0[:, active].T
+    A = np.einsum("iks,kst->ikt", Rk, slices, optimize=True)
+    cols = active.size * d
+    T = R0 @ R0.T + P + P.T + A.reshape(r, cols) @ Rk.reshape(r, cols).T
+    return 0.5 * (T + T.T)
+
+
+def min_eigpair(T, Q):
+    """Smallest eigenvalue of K = Q T Q', with a unit eigenvector when negative.
+
+    ``T`` is an r x r core (relaxed_core) and ``Q`` the m x r
+    orthonormal basis it is taken on.  The nonzero eigenvalues of K are
+    those of T, and when r < m the orthogonal complement of span Q adds
+    an exact zero, so the smallest eigenvalue is min(w0, 0) there and
+    w0 itself when Q is square.  Returns (eigenvalue, vector-or-None,
+    w, U) with T = U diag(w) U', w ascending, which the solver reuses
+    for its ridge solve; the vector Q U[:, 0] is only materialized when
+    the eigenvalue is negative, the only case a cut needs it.  Raises
+    ValueError when T is not symmetric.
+    """
+    T = np.asarray(T, dtype=float)
     m, r = Q.shape
-    if A.shape != (m, m):
-        raise ValueError("kernel must be square with one row per basis row")
-    if r == 0:
-        return 0.0, None
-    small = Q.T @ (A @ Q)
-    if np.abs(small - small.T).max() > 1e-9 * np.abs(small).max():
+    if T.shape != (r, r):
+        raise ValueError("core must be square with one row per basis column")
+    if r and np.abs(T - T.T).max() > 1e-9 * np.abs(T).max():
         raise ValueError("matrix must be symmetric")
-    small = 0.5 * (small + small.T)
-    w, U = np.linalg.eigh(small)
+    w, U = np.linalg.eigh(0.5 * (T + T.T))
+    if r == 0:
+        return 0.0, None, w, U
     lam = float(w[0]) if r == m else float(min(w[0], 0.0))
     if lam < 0.0:
         v = Q @ U[:, 0]
-        return lam, v / np.linalg.norm(v)
-    return lam, None
+        return lam, v / np.linalg.norm(v), w, U
+    return lam, None, w, U

@@ -9,24 +9,28 @@ affine functions over dual vectors:
 
 which this module minimizes with cutting planes:
 
-  1. at the current (M, N), solve the ridge system for the maximizing
-     alpha and add it to an active set;
+  1. at the current (M, N), build the r x r core T of the kernel
+     K = Q T Q' on the basis Q of kernel.range_basis, computed once per
+     solve, and take its eigendecomposition T = U diag(w) U'; then
+     solve the ridge system for the maximizing alpha through it, in
+     O(m r), and add alpha to an active set;
   2. re-minimize the active-set maximum over the Frobenius balls with
      projected subgradient steps;
   3. if the current kernel has a negative eigenvalue, add the affine
-     constraint v' K(M, N) v >= 0 for the offending eigenvector; the
-     eigenpair comes from one dense eigendecomposition of K projected
-     onto a fixed orthonormal basis of its range (kernel.range_basis),
-     computed once per solve, whatever the problem's shape;
+     constraint v' K(M, N) v >= 0 for the offending eigenvector
+     v = Q U[:, 0], from the same eigendecomposition, whatever the
+     problem's shape;
   4. stop when the incumbent's value and the master value agree to
      relative tolerance.
 
 Every alpha and every eigenvector enters the master step through the
 same factorization (quad_factors), so one inner iteration costs a few
-stacked contractions rather than any m x m work.  A short projected
-gradient polish on the exact-imputation objective runs after the
-cutting planes; its result is adopted only when it improves, which is
-always sound because the lift of an in-budget map stays feasible.
+stacked contractions.  No step of a solve forms an m x m matrix: the
+per-iteration work is O(m r) plus the r x r core, r <= d(1 + a).  A
+short projected gradient polish on the exact-imputation objective runs
+after the cutting planes, each evaluation a d x d primal ridge solve;
+its result is adopted only when it improves, which is always sound
+because the lift of an in-budget map stays feasible.
 """
 
 from __future__ import annotations
@@ -41,12 +45,11 @@ from .dataset import CorruptedSample, Dataset
 from .kernel import (
     KernelMatrix,
     LiftedTensor,
-    Provenance,
-    assemble_relaxed,
     lift,
     min_eigpair,
     quad_factors,
     range_basis,
+    relaxed_core,
 )
 
 
@@ -229,8 +232,9 @@ def _polish(X, Zba, active, y, mlam, Ma0, gamma, tol, max_steps=80):
     h(M) = y'(K_M + m*lam*I)^{-1} y is smooth in M, and near the PSD
     boundary the subgradient master stalls a few multiples of tol above
     the best nearby exact point.  Descending h directly closes that
-    residual.  Gradient at the ridge solution alpha: with U the imputed
-    rows, u = U'alpha and V the alpha-weighted masked design, the
+    residual.  Each evaluation is the d x d primal solve of
+    _primal_alpha on the imputed rows U.  Gradient at the ridge solution
+    alpha: with u = U'alpha and V the alpha-weighted masked design, the
     derivative in column k is -2 u_k V[:, k].  Backtracking steps,
     radial projection onto the gamma ball; stops once a step gains less
     than a tol-scaled amount, so the depth follows the configured
@@ -240,17 +244,11 @@ def _polish(X, Zba, active, y, mlam, Ma0, gamma, tol, max_steps=80):
     def evaluate(Ma):
         U = X.copy()
         U[:, active] += Zba * (X @ Ma)
-        G = U @ U.T
-        try:
-            alpha = _shifted_solve(G, y, mlam)
-        except np.linalg.LinAlgError:
-            return np.inf, None, None
+        alpha = _primal_alpha(U, y, mlam)
         return float(y @ alpha), alpha, U
 
     Ma = Ma0.copy()
     obj, alpha, U = evaluate(Ma)
-    if alpha is None:
-        return Ma0, np.inf, None
     floor_gain = 0.1 * tol * max(abs(obj), 1e-12)
     tau = None
     for _ in range(max_steps):
@@ -261,7 +259,6 @@ def _polish(X, Zba, active, y, mlam, Ma0, gamma, tol, max_steps=80):
             break
         if tau is None:
             tau = gamma / gn  # first trial step traverses the ball's scale
-        cand, o2, a2, U2 = None, np.inf, None, None
         for _ in range(30):
             cand = Ma - tau * grad
             nm = float(np.linalg.norm(cand))
@@ -302,10 +299,8 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
     mlam = m * hp.lam
 
     if hp.gamma == 0.0 or a == 0:
-        # no imputation freedom, or nothing missing: plain kernel ridge
-        G = X @ X.T
-        K = 0.5 * (G + G.T)
-        alpha = ridge_alpha(K, y, hp.lam)
+        # no imputation freedom, or nothing missing: plain ridge on X
+        alpha = _primal_alpha(X, y, mlam)
         diag = Diagnostics(
             iterations=1,
             gap=0.0,
@@ -322,9 +317,8 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
             diagnostics=diag,
         )
 
-    XXt = X @ X.T
     Zba = Zb[:, active]
-    Qb = range_basis(X, Zb, active)
+    Qb, Rb = range_basis(X, Zb, active)
 
     dM = d * a  # split point between the M and N blocks of the flat variable
     x = np.zeros(dM + a * d * d)
@@ -342,21 +336,17 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
         it_done = it
         Ma = x[:dM].reshape(d, a)
         Ns = x[dM:].reshape(a, d, d)
-        K = assemble_relaxed(X, Zb, _scatter(Ma, active, d), Ns, active, base=XXt)
-
-        lam_min, vmin = min_eigpair(K, Qb)
-
-        try:
-            alpha = _shifted_solve(K, y, mlam)
-        except np.linalg.LinAlgError:
-            alpha = None  # kernel too indefinite for the shift; cut below repairs it
+        T = relaxed_core(Rb, _scatter(Ma, active, d), Ns, active)
+        lam_min, vmin, w, U = min_eigpair(T, Qb)
+        # None: kernel too indefinite for the shift; the cut below repairs it
+        alpha = _core_solve(Qb, w, U, y, mlam)
 
         if lam_min >= -cfg.eps_psd:
             if alpha is not None:
                 f_cur = float(y @ alpha)
                 if f_cur < upper_best:
                     upper_best = f_cur
-                    incumbent = (x.copy(), K)
+                    incumbent = (x.copy(), alpha)
         else:
             c0, s, V = quad_factors(X, Zb, vmin)
             C0l.append(c0)
@@ -395,7 +385,7 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
     if incumbent is None:
         # should not happen: the zero start is feasible
         raise RuntimeError("no feasible iterate found")
-    x_b, K_b = incumbent
+    x_b, alpha_b = incumbent
     Ma_b = x_b[:dM].reshape(d, a)
     Ns_b = x_b[dM:].reshape(a, d, d)
 
@@ -405,14 +395,14 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
     Ma_p, obj_p, alpha_p = _polish(
         X, Zba, active, y, mlam, Ma_b, hp.gamma, cfg.tol
     )
-    if alpha_p is not None and obj_p < upper_best:
+    if obj_p < upper_best:
         upper_best = obj_p
         M_fin = _scatter(Ma_p, active, d)
         N_fin = lift(M_fin)
         N_fin = LiftedTensor(N_fin.slices, hp.gamma**2)
         alpha_fin = alpha_p
     else:
-        alpha_fin = _shifted_solve(K_b, y, mlam)
+        alpha_fin = alpha_b
         M_fin = _scatter(Ma_b, active, d)
         N_full = np.zeros((d, d, d))
         N_full[active] = Ns_b
@@ -439,6 +429,36 @@ def _scatter(Ma, active, d):
     M = np.zeros((d, d))
     M[:, active] = Ma
     return M
+
+
+def _core_solve(Q, w, U, y, mlam):
+    """Dual ridge solve through the factored kernel K = Q U diag(w) U' Q'.
+
+    alpha = (K + m*lam*I)^{-1} y splits into span Q, where the shifted
+    eigenvalues are w + m*lam, and its complement, where K vanishes:
+
+        alpha = Q U diag(1/(w + m*lam)) U' Q'y + (y - Q Q'y) / (m*lam).
+
+    O(m r) for an m x r basis.  Returns None when K + m*lam*I is not
+    positive definite (w0 + m*lam <= 0), where its Cholesky would fail.
+    """
+    if w.size and w[0] + mlam <= 0.0:
+        return None
+    qy = Q.T @ y
+    return Q @ (U @ ((U.T @ qy) / (w + mlam)) - qy / mlam) + y / mlam
+
+
+def _primal_alpha(U, y, mlam):
+    """alpha = (U U' + m*lam*I)^{-1} y through a d x d solve.
+
+    By the Woodbury identity alpha = (y - U w) / (m*lam) with the primal
+    ridge weights w = (U'U + m*lam*I)^{-1} U'y, so the m x m Gram of the
+    rows U is never formed.
+    """
+    G = U.T @ U
+    G.flat[:: G.shape[0] + 1] += mlam
+    w = scipy.linalg.solve(G, U.T @ y, assume_a="pos")
+    return (y - U @ w) / mlam
 
 
 def _shifted_solve(K, y, mlam):

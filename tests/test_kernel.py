@@ -13,6 +13,7 @@ from imputed_ridge import (
     lift,
     min_eigpair,
     range_basis,
+    relaxed_core,
     solve_irr,
 )
 from imputed_ridge.kernel import quad_factors
@@ -134,40 +135,40 @@ def test_gradient_alpha_shape_check(rng):
         kernel_gradient_contraction(ds, np.zeros(5))
 
 
-def orthonormal(B):
-    return np.linalg.qr(B)[0]
-
-
 def test_min_eigpair_indefinite_agrees(rng):
     m, c = 50, 6
     B = rng.standard_normal((m, c))
     C = np.diag([-2.0, -0.5, 0.3, 1.0, 2.0, 3.0])
     K = B @ C @ B.T  # indefinite, range inside span(B)
-    lam, v = min_eigpair(K, orthonormal(B))
-    w = np.linalg.eigvalsh(K)
-    assert lam == pytest.approx(w[0], abs=1e-8)
+    Q, R = np.linalg.qr(B)
+    lam, v, w, U = min_eigpair(R @ C @ R.T, Q)
+    assert lam == pytest.approx(np.linalg.eigvalsh(K)[0], abs=1e-8)
     assert np.linalg.norm(v) == pytest.approx(1.0)
     np.testing.assert_allclose(K @ v, lam * v, atol=1e-7)
+    assert lam == w[0]
+    np.testing.assert_allclose(v, Q @ U[:, 0] / np.linalg.norm(Q @ U[:, 0]))
 
 
 def test_min_eigpair_psd_input(rng):
     # rank-deficient PSD matrix: the complement of its range supplies an
-    # exact zero, which no rounding in the projected eigenproblem can move
-    B = rng.standard_normal((20, 8))
-    lam, v = min_eigpair(B @ B.T, orthonormal(B))
+    # exact zero, which no rounding in the core's eigenproblem can move
+    Q, R = np.linalg.qr(rng.standard_normal((20, 8)))
+    lam, v, _, _ = min_eigpair(R @ R.T, Q)
     assert lam == 0.0
     assert v is None
 
 
 def test_min_eig_low_rank_psd_reports_zero(rng):
-    # rank-deficient PSD matrix B B' with the basis taken by range_basis
-    # from the raw factor B (no active columns): the nullspace supplies
-    # an exact zero
+    # rank-deficient PSD matrix B B' with the factors taken by
+    # range_basis from the raw factor B (no active columns): the core
+    # is R R' and the nullspace supplies an exact zero
     B = rng.standard_normal((30, 4))
-    K = B @ B.T
-    Q = range_basis(B, np.zeros_like(B), [])
-    assert Q.shape == (30, 4)
-    lam, v = min_eigpair(K, Q)
+    Q, R = range_basis(B, np.zeros_like(B), [])
+    assert Q.shape == (30, 4) and R.shape == (4, 4)
+    np.testing.assert_allclose(Q @ R, B, atol=1e-12)
+    T = relaxed_core(R, np.zeros((4, 4)), np.zeros((0, 4, 4)), [])
+    np.testing.assert_allclose(Q @ T @ Q.T, B @ B.T, atol=1e-10)
+    lam, v, _, _ = min_eigpair(T, Q)
     assert lam == 0.0
     assert v is None
 
@@ -178,12 +179,12 @@ def test_min_eigpair_dense(rng):
     n = 40
     A = rng.standard_normal((n, n))
     A = 0.5 * (A + A.T)
-    Q = orthonormal(rng.standard_normal((n, n)))
-    lam, v = min_eigpair(A, Q)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lam, v, _, _ = min_eigpair(Q.T @ A @ Q, Q)
     assert lam == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
     np.testing.assert_allclose(A @ v, lam * v, atol=1e-8)
     P = A @ A.T + np.eye(n)
-    lam, v = min_eigpair(P, Q)
+    lam, v, _, _ = min_eigpair(Q.T @ P @ Q, Q)
     assert lam == pytest.approx(np.linalg.eigvalsh(P)[0], rel=1e-10)
     assert lam >= 1.0 - 1e-9
     assert v is None
@@ -197,12 +198,18 @@ def test_range_basis_holds_relaxed_kernel(rng):
     for ds in (random_corrupted(rng, 30, 3), Dataset(X4 * Z4, Z4, np.zeros(4))):
         m = ds.m
         Zb = 1.0 - ds.Z
-        Q = range_basis(ds.X, Zb, np.flatnonzero(Zb.any(axis=0)))
+        active = np.flatnonzero(Zb.any(axis=0))
+        Q, R = range_basis(ds.X, Zb, active)
         np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-12)
-        K = build_kmn(ds, rng.standard_normal((3, 3)), random_lifted(rng, 3)).K
+        B = np.concatenate([ds.X] + [Zb[:, [k]] * ds.X for k in active], axis=1)
+        np.testing.assert_allclose(Q @ R, B, atol=1e-12)
+        M, N = rng.standard_normal((3, 3)), random_lifted(rng, 3)
+        K = build_kmn(ds, M, N).K
         P = Q @ Q.T
         np.testing.assert_allclose(P @ K @ P, K, atol=1e-9 * np.abs(K).max())
-        lam, _ = min_eigpair(K, Q)
+        T = relaxed_core(R, M, N.slices[active], active)
+        np.testing.assert_allclose(Q @ T @ Q.T, K, atol=1e-12 * np.abs(K).max())
+        lam, _, _, _ = min_eigpair(T, Q)
         w0 = np.linalg.eigvalsh(K)[0]
         assert (Q.shape[1] == m) == (m == 4)
         expect = w0 if Q.shape[1] == m else min(w0, 0.0)
@@ -212,6 +219,8 @@ def test_range_basis_holds_relaxed_kernel(rng):
 def test_min_eigpair_rejects_asymmetric(rng):
     with pytest.raises(ValueError):
         min_eigpair(rng.standard_normal((5, 5)), np.eye(5))
+    with pytest.raises(ValueError):
+        min_eigpair(np.eye(4), np.eye(5))  # core and basis disagree
 
 
 def test_min_eigpair_rank_zero_basis():
@@ -223,9 +232,12 @@ def test_min_eigpair_rank_zero_basis():
     y = np.linspace(-1.0, 1.0, m)
     ds = Dataset(np.zeros((m, d)), Z, y)
     Zb = 1.0 - Z
-    Q = range_basis(ds.X, Zb, np.flatnonzero(Zb.any(axis=0)))
-    assert Q.shape == (m, 0)
-    assert min_eigpair(np.zeros((m, m)), Q) == (0.0, None)
+    active = np.flatnonzero(Zb.any(axis=0))
+    Q, R = range_basis(ds.X, Zb, active)
+    assert Q.shape == (m, 0) and R.shape == (0, d * (1 + active.size))
+    T = relaxed_core(R, np.ones((d, d)), np.ones((active.size, d, d)), active)
+    assert T.shape == (0, 0)
+    assert min_eigpair(T, Q)[:2] == (0.0, None)
     hp = Hyperparams(lam=0.5, gamma=1.0)
     sol = solve_irr(ds, hp)
     np.testing.assert_allclose(sol.alpha, y / (m * hp.lam))

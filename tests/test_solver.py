@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,20 +7,25 @@ from imputed_ridge import (
     Dataset,
     Hyperparams,
     IrrSolution,
+    LiftedTensor,
     PrimalPoint,
     SolverConfig,
     build_km,
     build_kmn,
     corrupt_independent,
     load_solution,
+    min_eigpair,
     predict,
     predict_batch,
     primal_objective,
+    range_basis,
+    relaxed_core,
     ridge_alpha,
     rmse,
     save_solution,
     solve_irr,
 )
+from imputed_ridge.solver import _core_solve, _primal_alpha
 from tests.conftest import random_corrupted
 
 STRONG = SolverConfig(tol=1e-6, max_outer=60, inner_steps=1500)
@@ -198,6 +205,104 @@ def test_wide_basis_refit_repeatable_and_psd():
     K = build_kmn(ds, s1.M, s1.N).K
     floor = -SolverConfig().eps_psd - 1e-9 * np.abs(K).max()
     assert np.linalg.eigvalsh(K)[0] >= floor
+
+
+def test_factored_path_matches_dense():
+    """The solver's factored kernel against the m x m one it replaces.
+
+    Three shapes: a basis narrower than m (m=200, d=5), a square one
+    (m=60, d=8, beta 0.6, where c = 72 > m) and X = 0 (rank 0).  At
+    random in-budget (M, N), some with negated slices so K is
+    indefinite: the certificate matches eigvalsh of K (with the
+    complement's zero when r < m) and its cut vector is a unit
+    eigenvector; the ridge solve matches a dense solve of K + m*lam*I,
+    and is refused where a Cholesky of the shifted kernel fails;
+    the polish's d x d solve matches the dense one on the imputed rows.
+    """
+    Z0 = np.ones((12, 3))
+    Z0[::3, 0] = 0.0
+    Z0[1::4, 2] = 0.0
+    cases = [
+        random_corrupted(np.random.default_rng(5), 200, 5),
+        # how many of the 72 columns are independent depends on the
+        # mask; this draw's span is all of R^60
+        random_corrupted(np.random.default_rng(4), 60, 8, beta=0.6),
+        Dataset(np.zeros((12, 3)), Z0, np.linspace(-1.0, 1.0, 12)),
+    ]
+    rng = np.random.default_rng(5)
+    lam, gamma = 2.0**-2, 1.5
+    ranks, indefinite_solved, refused = [], 0, 0
+    for ds in cases:
+        m, d, y = ds.m, ds.d, ds.y
+        mlam = m * lam
+        Zb = 1.0 - ds.Z
+        active = np.flatnonzero(Zb.any(axis=0))
+        Q, R = range_basis(ds.X, Zb, active)
+        ranks.append(Q.shape[1])
+        for trial in range(8):
+            G = rng.standard_normal((d, d))
+            M = G * (gamma * rng.random() / np.linalg.norm(G))
+            S = rng.standard_normal((d, d, d))
+            S = 0.5 * (S + S.transpose(0, 2, 1))
+            if trial % 2:
+                S = S - 3.0 * np.eye(d)  # pushes K indefinite
+            S *= gamma**2 * rng.uniform(0.5, 1.0) / np.sqrt((S * S).sum())
+            K = build_kmn(ds, M, LiftedTensor(S, gamma**2)).K
+            scale = max(np.abs(K).max(), 1.0)
+            T = relaxed_core(R, M, S[active], active)
+            lam_min, v, w, U = min_eigpair(T, Q)
+            w_dense = np.linalg.eigvalsh(K)
+            expect = w_dense[0] if Q.shape[1] == m else min(w_dense[0], 0.0)
+            assert lam_min == pytest.approx(expect, abs=1e-9 * scale)
+            if lam_min < 0.0:
+                assert np.linalg.norm(v) == pytest.approx(1.0)
+                np.testing.assert_allclose(K @ v, lam_min * v, atol=1e-9 * scale)
+            else:
+                assert v is None
+            if w.size and w[0] < 0.0:
+                # a shift short of the negative eigenvalue is refused, as
+                # the Cholesky of the shifted dense kernel fails
+                assert _core_solve(Q, w, U, y, -0.5 * w[0]) is None
+                with pytest.raises(np.linalg.LinAlgError):
+                    ridge_alpha(K, y, -0.5 * w[0] / m)
+                refused += 1
+            alpha = _core_solve(Q, w, U, y, mlam)
+            assert alpha is not None
+            dense = np.linalg.solve(K + mlam * np.eye(m), y)
+            assert np.linalg.norm(alpha - dense) <= 1e-9 * np.linalg.norm(dense)
+            indefinite_solved += lam_min < 0.0
+            # the polish evaluates the exact kernel of the imputed rows
+            Ximp = ds.X + Zb * (ds.X @ M)
+            exact = ridge_alpha(build_km(ds, M), y, lam)
+            primal = _primal_alpha(Ximp, y, mlam)
+            assert np.linalg.norm(primal - exact) <= 1e-9 * np.linalg.norm(exact)
+    assert ranks[0] < 200 and ranks[1] == 60 and ranks[2] == 0
+    assert indefinite_solved >= 2 and refused >= 2
+
+
+def test_solve_allocates_no_m_by_m_matrix():
+    """A solve at m=3000 peaks below a quarter of one m x m float64 matrix.
+
+    Correlated features make the solve take cuts, so the certificate's
+    eigenvector path runs as well as the ridge solves and the polish.
+    """
+    rng = np.random.default_rng(11)
+    m, d = 3000, 4
+    F = rng.standard_normal((m, 3))
+    X = F @ rng.standard_normal((3, d)) + 0.3 * rng.standard_normal((m, d))
+    X = (X - X.min(axis=0)) / (X.max(axis=0) - X.min(axis=0))
+    y = F @ rng.standard_normal(3) + 0.1 * rng.standard_normal(m)
+    Z = corrupt_independent(X, 0.6, 11)
+    ds = Dataset(X * Z, Z, y)
+    hp = Hyperparams(lam=2.0**-3, gamma=1.0)
+    tracemalloc.start()
+    try:
+        sol = solve_irr(ds, hp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.diagnostics.cuts >= 1
+    assert peak < m * m * 8 / 4
 
 
 def test_predict_single_matches_batch(rng):
