@@ -36,12 +36,9 @@ from .imputation import (
     impute_dataset,
 )
 from .kernel import (
-    KernelMatrix,
     LiftedTensor,
-    Provenance,
     build_km,
     build_kmn,
-    kernel_gradient_contraction,
     lift,
     min_eigpair,
     range_basis,
@@ -51,13 +48,11 @@ from .solver import (
     Diagnostics,
     Hyperparams,
     IrrSolution,
-    PrimalPoint,
     SolverConfig,
     load_solution,
     predict,
     predict_batch,
-    primal_objective,
-    ridge_alpha,
+    ridge_weights,
     rmse,
     save_solution,
     solve_irr,

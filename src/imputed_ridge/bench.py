@@ -25,7 +25,7 @@ from . import corruption as corr
 from .corruption import CorruptionKind, CorruptionSpec, calibrate_beta
 from .dataset import Dataset, load_csv, normalize, split, stats
 from .imputation import apply_baseline_matrix, fit_independent, fit_mean, fit_zero
-from .solver import Hyperparams, SolverConfig, predict_batch, ridge_alpha, solve_irr
+from .solver import Hyperparams, SolverConfig, predict_batch, ridge_weights, solve_irr
 from .theory import BoundInputs, generalization_gap, rademacher_bound
 
 METHODS = ("zero", "mean", "ind", "irr", "nocorr")
@@ -194,23 +194,28 @@ def _prepare_trials(ds, spec, beta):
     return out
 
 
-def _fit_baseline(kind, train):
-    if kind == "zero":
-        return fit_zero()
-    if kind == "mean":
-        return fit_mean(train)
-    return fit_independent(train)
+def _ridge_inputs(name, trial):
+    """The (train, test) feature matrices the ridge method ``name`` uses.
+
+    nocorr sees the clean folds; zero, mean and ind fill the corrupted
+    folds with an imputer fitted on the training fold.
+    """
+    if name == "nocorr":
+        return trial.train_clean.X, trial.test_clean.X
+    if name == "zero":
+        imp = fit_zero()
+    elif name == "mean":
+        imp = fit_mean(trial.train)
+    else:
+        imp = fit_independent(trial.train)
+    return tuple(apply_baseline_matrix(imp, f.X, f.Z) for f in (trial.train, trial.test))
 
 
 def _ridge_curve(Xtr, ytr, Xte, yte, exponents):
     """Test RMSE of linear ridge, one value per lambda exponent."""
-    G = Xtr @ Xtr.T
-    K = 0.5 * (G + G.T)
     out = {}
     for e in exponents:
-        alpha = ridge_alpha(K, ytr, 2.0**e)
-        w = Xtr.T @ alpha
-        resid = yte - Xte @ w
+        resid = yte - Xte @ ridge_weights(Xtr, ytr, 2.0**e)
         out[e] = float(np.sqrt((resid @ resid) / yte.shape[0]))
     return out
 
@@ -295,42 +300,13 @@ def _run_on_dataset(spec: ExperimentSpec, ds: Dataset) -> ExperimentReport:
     cells_flagged = 0
 
     for name in spec.methods:
-        if name == "nocorr":
-            if spec.corruption == "native":
-                notes.append(
-                    "nocorr unavailable: native missingness has no uncorrupted view"
-                )
-                continue
+        if name == "nocorr" and spec.corruption == "native":
+            notes.append("nocorr unavailable: native missingness has no uncorrupted view")
+        elif name != "irr":
             curves = []
             for t, trial in enumerate(trials):
                 try:
-                    curves.append(
-                        _ridge_curve(
-                            trial.train_clean.X,
-                            trial.train_clean.y,
-                            trial.test_clean.X,
-                            trial.test_clean.y,
-                            spec.grid,
-                        )
-                    )
-                except Exception as exc:
-                    raise RuntimeError(f"trial {t}, method nocorr: {exc}") from exc
-            cells_scored += len(spec.grid) * len(trials)
-            best_e, per_trial = _pick_best(curves, spec.grid)
-            methods[name] = MethodResult(
-                rmse_mean=float(np.mean(per_trial)),
-                rmse_std=_std(per_trial),
-                best_lambda=2.0**best_e,
-                best_gamma=None,
-                per_trial=per_trial,
-            )
-        elif name in ("zero", "mean", "ind"):
-            curves = []
-            for t, trial in enumerate(trials):
-                try:
-                    imp = _fit_baseline(name, trial.train)
-                    Xtr = apply_baseline_matrix(imp, trial.train.X, trial.train.Z)
-                    Xte = apply_baseline_matrix(imp, trial.test.X, trial.test.Z)
+                    Xtr, Xte = _ridge_inputs(name, trial)
                     curves.append(
                         _ridge_curve(Xtr, trial.train.y, Xte, trial.test.y, spec.grid)
                     )

@@ -10,6 +10,7 @@ raw files or raw value ranges.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -82,6 +83,8 @@ class Dataset:
             raise ValueError("X and Z must be 2-d arrays of equal shape")
         if y.shape != (X.shape[0],):
             raise ValueError("y must have one entry per row of X")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ValueError("X and y must be finite")
         if not np.all((Z == 0.0) | (Z == 1.0)):
             raise ValueError("mask entries must be 0 or 1")
         if np.any(X[Z == 0.0] != 0.0):
@@ -111,11 +114,14 @@ def _parse_cell(text, row, col):
     if token.lower() in MISSING_TOKENS:
         return 0.0, 0.0
     try:
-        return float(token), 1.0
+        value = float(token)
     except ValueError:
         raise CsvFormatError(
             f"row {row}, column {col}: cannot parse {token!r} as a number"
         ) from None
+    if not math.isfinite(value):
+        raise CsvFormatError(f"row {row}, column {col}: {token!r} is not a finite number")
+    return value, 1.0
 
 
 def load_csv(path, label_column=-1, has_header=False) -> Dataset:

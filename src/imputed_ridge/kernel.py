@@ -24,9 +24,11 @@ m x r, r <= c the rank of B), K = Q T Q' for the r x r core
 T = R S R' (relaxed_core).  So the solver never forms K: the
 eigenvalues of K are those of T plus, when r < m, zeros on the
 complement of span Q, and one eigendecomposition of T (min_eigpair)
-gives both the PSD certificate and the ridge solve.  build_kmn
-(through assemble_relaxed) still forms the m x m matrix, for callers
-that need K itself, such as theory's empirical capacity estimate.
+gives both the PSD certificate and the ridge solve.  build_km and
+build_kmn (through assemble_relaxed) form the m x m matrix as a plain
+array, for callers that need K itself, such as theory's empirical
+capacity estimate.  Since a' K a is affine in (M, N) for a fixed
+vector a, its coefficients (quad_factors) are also its gradient.
 
 Budgets are Frobenius balls: ||M||_F <= gamma and
 sqrt(sum_k ||N_k||_F^2) <= gamma^2.
@@ -35,18 +37,12 @@ sqrt(sum_k ||N_k||_F^2) <= gamma^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 import scipy.linalg
 
 from .dataset import Dataset
 from .imputation import FEASIBILITY_SLACK, impute_dataset
-
-
-class Provenance(Enum):
-    EXACT = "exact"
-    RELAXED = "relaxed"
 
 
 @dataclass(frozen=True)
@@ -92,26 +88,6 @@ class LiftedTensor:
         return cls(slices, gamma2)
 
 
-@dataclass(frozen=True)
-class KernelMatrix:
-    """A Gram matrix tagged with how it was produced."""
-
-    K: np.ndarray
-    provenance: Provenance
-
-    def __post_init__(self):
-        K = np.asarray(self.K, dtype=float)
-        object.__setattr__(self, "K", K)
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise ValueError("kernel matrix must be square")
-        if not np.allclose(K, K.T, rtol=1e-9, atol=1e-9):
-            raise ValueError("kernel matrix must be symmetric within 1e-9")
-
-    @property
-    def m(self) -> int:
-        return self.K.shape[0]
-
-
 def lift(M) -> LiftedTensor:
     """Exact lift of an imputation map: slice k is outer(M[:, k], M[:, k]).
 
@@ -124,14 +100,14 @@ def lift(M) -> LiftedTensor:
     return LiftedTensor(slices, gamma2)
 
 
-def build_km(train: Dataset, M) -> KernelMatrix:
-    """Exact imputed Gram matrix: the Gram of rows filled through M."""
+def build_km(train: Dataset, M) -> np.ndarray:
+    """Exact imputed Gram matrix: the m x m Gram of rows filled through M."""
     M = np.asarray(M, dtype=float)
     if M.shape != (train.d, train.d):
         raise ValueError(f"M must be {train.d} x {train.d}")
     Ximp = impute_dataset(M, train.X, train.Z)
     G = Ximp @ Ximp.T
-    return KernelMatrix(0.5 * (G + G.T), Provenance.EXACT)
+    return 0.5 * (G + G.T)
 
 
 def assemble_relaxed(X, Zb, M, slices, active) -> np.ndarray:
@@ -154,8 +130,8 @@ def assemble_relaxed(X, Zb, M, slices, active) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
-def build_kmn(train: Dataset, M, N: LiftedTensor) -> KernelMatrix:
-    """Relaxed Gram matrix, affine in (M, N)."""
+def build_kmn(train: Dataset, M, N: LiftedTensor) -> np.ndarray:
+    """Relaxed m x m Gram matrix, affine in (M, N)."""
     M = np.asarray(M, dtype=float)
     d = train.d
     if M.shape != (d, d):
@@ -164,8 +140,7 @@ def build_kmn(train: Dataset, M, N: LiftedTensor) -> KernelMatrix:
         raise ValueError(f"N must carry {d} slices of shape ({d}, {d})")
     Zb = 1.0 - train.Z
     active = np.flatnonzero(Zb.any(axis=0))
-    G = assemble_relaxed(train.X, Zb, M, N.slices[active], active)
-    return KernelMatrix(G, Provenance.RELAXED)
+    return assemble_relaxed(train.X, Zb, M, N.slices[active], active)
 
 
 def quad_factors(X, Zb, a):
@@ -180,23 +155,6 @@ def quad_factors(X, Zb, a):
     s = X.T @ a
     V = X.T @ (a[:, None] * Zb)
     return float(s @ s), s, V
-
-
-def kernel_gradient_contraction(train: Dataset, alpha):
-    """Gradient of alpha' K alpha in (M, N); the map is affine so it is constant.
-
-    Returns (G_M, G_N) where G_M[:, k] = 2 s_k v_k and slice k of G_N is
-    outer(v_k, v_k), with s = X' alpha and v_k = X' (alpha * zb_k).
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (train.m,):
-        raise ValueError("alpha must have one entry per training row")
-    Zb = 1.0 - train.Z
-    _, s, V = quad_factors(train.X, Zb, alpha)
-    G_M = 2.0 * V * s[None, :]
-    slices = np.einsum("rk,sk->krs", V, V)
-    norm = float(np.sqrt((slices * slices).sum()))
-    return G_M, LiftedTensor(slices, norm)
 
 
 def range_basis(X, Zb, active):

@@ -31,19 +31,22 @@ short projected gradient polish on the exact-imputation objective runs
 after the cutting planes, each evaluation a d x d primal ridge solve;
 its result is adopted only when it improves, which is always sound
 because the lift of an in-budget map stays feasible.
+
+Ridge on explicit rows U (the polish, the gamma = 0 shortcut and the
+benchmark's baselines) has one implementation, ridge_weights: the
+d x d normal equations, never the m x m Gram U U'.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import scipy.linalg
 
 from .dataset import CorruptedSample, Dataset
 from .kernel import (
-    KernelMatrix,
     LiftedTensor,
     lift,
     min_eigpair,
@@ -90,12 +93,20 @@ class SolverConfig:
     @classmethod
     def from_json(cls, text: str) -> "SolverConfig":
         obj = json.loads(text)
-        return cls(
-            tol=float(obj.get("tol", 1e-3)),
-            max_outer=int(obj.get("max_outer", 200)),
-            inner_steps=int(obj.get("inner_steps", 500)),
-            eps_psd=float(obj.get("eps_psd", 1e-7)),
-        )
+        if not isinstance(obj, dict):
+            raise ValueError("solver config must be a JSON object")
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown solver config keys: {', '.join(unknown)}")
+        try:
+            return cls(
+                tol=float(obj.get("tol", 1e-3)),
+                max_outer=int(obj.get("max_outer", 200)),
+                inner_steps=int(obj.get("inner_steps", 500)),
+                eps_psd=float(obj.get("eps_psd", 1e-7)),
+            )
+        except TypeError as exc:
+            raise ValueError(f"solver config: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -123,36 +134,19 @@ class IrrSolution:
     diagnostics: Diagnostics
 
 
-@dataclass(frozen=True)
-class PrimalPoint:
-    """Explicit weight vector and imputation map, for the primal objective."""
+def ridge_weights(U, y, lam) -> np.ndarray:
+    """Primal ridge weights w = (U'U + m*lam*I)^{-1} U'y for the m rows U.
 
-    w: np.ndarray
-    M: np.ndarray
-
-
-def ridge_alpha(K, y, lam) -> np.ndarray:
-    """Dual ridge solve: alpha = (K + m*lam*I)^{-1} y.
-
-    Cholesky with one step of iterative refinement.  Raises
-    scipy's LinAlgError if the shifted matrix is not positive
-    definite (an indefinite kernel or nonpositive lam).
+    A d x d solve; the m x m Gram U U' is never formed.  Raises
+    ValueError when U and y disagree in row count.
     """
-    A = K.K if isinstance(K, KernelMatrix) else np.asarray(K, dtype=float)
+    U = np.asarray(U, dtype=float)
     y = np.asarray(y, dtype=float)
-    m = y.shape[0]
-    if A.shape != (m, m):
-        raise ValueError("kernel and label sizes disagree")
-    return _shifted_solve(A, y, m * lam)
-
-
-def primal_objective(point: PrimalPoint, train: Dataset, lam: float) -> float:
-    """(lam/2) ||w||^2 + mean squared error of w on the imputed rows."""
-    w = np.asarray(point.w, dtype=float)
-    M = np.asarray(point.M, dtype=float)
-    Ximp = train.X + (1.0 - train.Z) * (train.X @ M)
-    resid = train.y - Ximp @ w
-    return float(0.5 * lam * (w @ w) + (resid @ resid) / train.m)
+    if U.ndim != 2 or y.shape != (U.shape[0],):
+        raise ValueError("design rows and label sizes disagree")
+    G = U.T @ U
+    G.flat[:: G.shape[0] + 1] += U.shape[0] * lam
+    return scipy.linalg.solve(G, U.T @ y, assume_a="pos")
 
 
 def _flat_row(s, V):
@@ -452,24 +446,10 @@ def _primal_alpha(U, y, mlam):
     """alpha = (U U' + m*lam*I)^{-1} y through a d x d solve.
 
     By the Woodbury identity alpha = (y - U w) / (m*lam) with the primal
-    ridge weights w = (U'U + m*lam*I)^{-1} U'y, so the m x m Gram of the
-    rows U is never formed.
+    ridge weights w of ridge_weights, so the m x m Gram of the rows U is
+    never formed.
     """
-    G = U.T @ U
-    G.flat[:: G.shape[0] + 1] += mlam
-    w = scipy.linalg.solve(G, U.T @ y, assume_a="pos")
-    return (y - U @ w) / mlam
-
-
-def _shifted_solve(K, y, mlam):
-    H = K.copy()
-    H.flat[:: K.shape[0] + 1] += mlam
-    factor = scipy.linalg.cho_factor(H)
-    alpha = scipy.linalg.cho_solve(factor, y)
-    resid = y - H @ alpha
-    if np.linalg.norm(resid) > 1e-10 * max(1.0, np.linalg.norm(y)):
-        alpha = alpha + scipy.linalg.cho_solve(factor, resid)
-    return alpha
+    return (y - U @ ridge_weights(U, y, mlam / U.shape[0])) / mlam
 
 
 def predict_batch(sol: IrrSolution, test: Dataset) -> np.ndarray:

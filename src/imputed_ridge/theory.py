@@ -117,8 +117,7 @@ def empirical_rademacher(ds: Dataset, hp: Hyperparams, B, n_sigma=64, n_hyp=96, 
             N = LiftedTensor.projected(slices * gamma**2, gamma**2)
         else:
             N = LiftedTensor.zeros(d, gamma**2)
-        K = build_kmn(ds, M, N)
-        H[j] = K.K @ alpha
+        H[j] = build_kmn(ds, M, N) @ alpha
 
     signs = np.where(rng.random((n_sigma, m)) < 0.5, -1.0, 1.0)
     corr = np.abs(signs @ H.T) / m

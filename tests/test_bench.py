@@ -8,8 +8,12 @@ from imputed_ridge import (
     CorruptionSpec,
     ExperimentSpec,
     SolverConfig,
+    corrupt_independent,
+    load_csv,
+    normalize,
     run_experiment,
     run_onevsall,
+    split,
     sweep_fraction,
 )
 from imputed_ridge.bench import (
@@ -147,6 +151,40 @@ def test_beta_zero_makes_zero_equal_nocorr(linear_csv):
     np.testing.assert_allclose(
         report.methods["zero"].per_trial, report.methods["nocorr"].per_trial, atol=1e-12
     )
+
+
+def test_ridge_baselines_match_normal_equations(linear_csv):
+    """zero and nocorr against ridge refitted from the documented folds.
+
+    Each trial's split and training/test masks come from derive_seed
+    (purposes 0, 1 and 2); every grid exponent is fitted by a dense
+    solve of the d x d normal equations.  The reported lambda must be
+    the argmin of the mean test RMSE, and per_trial its values.
+    """
+    grid = tuple(range(-12, 11, 2))
+    spec = base_spec(linear_csv, methods=("zero", "nocorr"), trials=3, grid=grid)
+    report = run_experiment(spec)
+    ds = normalize(load_csv(linear_csv))
+    beta = spec.corruption.beta
+    curves = {"zero": [], "nocorr": []}
+    for t in range(spec.trials):
+        tr, te = split(ds, spec.train_size, derive_seed(spec.master_seed, t, 0))
+        Ztr = corrupt_independent(tr.X, beta, derive_seed(spec.master_seed, t, 1))
+        Zte = corrupt_independent(te.X, beta, derive_seed(spec.master_seed, t, 2))
+        folds = {"zero": (tr.X * Ztr, te.X * Zte), "nocorr": (tr.X, te.X)}
+        for name, (Xtr, Xte) in folds.items():
+            m, d = Xtr.shape
+            curve = {}
+            for e in grid:
+                A = Xtr.T @ Xtr + m * 2.0**e * np.eye(d)
+                w = np.linalg.solve(A, Xtr.T @ tr.y)
+                curve[e] = float(np.sqrt(np.mean((te.y - Xte @ w) ** 2)))
+            curves[name].append(curve)
+    for name, per in curves.items():
+        res = report.methods[name]
+        best = min(grid, key=lambda e: np.mean([c[e] for c in per]))
+        assert res.best_lambda == 2.0**best
+        np.testing.assert_allclose(res.per_trial, [c[best] for c in per], rtol=0, atol=1e-10)
 
 
 def test_native_missingness(native_csv):

@@ -106,6 +106,20 @@ def test_solver_config_file(data_csv, tmp_path):
     assert "irr" in json.loads(out.read_text())["methods"]
 
 
+@pytest.mark.parametrize("text", ['{"max_iter": 5}', "[1, 2]"])
+def test_solver_config_file_rejected(data_csv, tmp_path, capsys, text):
+    cfg = tmp_path / "solver.json"
+    cfg.write_text(text)
+    code = main(
+        ["bench", "--data", data_csv, "--out", str(tmp_path / "r.json"),
+         "--solver-config", str(cfg)]
+        + COMMON
+        + ["--methods", "irr"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_sweep_writes_tsv(data_csv, tmp_path):
     out = tmp_path / "sweep.tsv"
     code = main(

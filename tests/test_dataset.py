@@ -36,6 +36,16 @@ def test_dataset_shape_validation():
         Dataset(X, np.zeros((4, 3)), np.zeros(5))
 
 
+def test_dataset_rejects_nonfinite():
+    for bad in (np.inf, -np.inf, np.nan):
+        X = np.ones((2, 2))
+        X[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(X, np.ones((2, 2)), np.zeros(2))
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(np.ones((2, 2)), np.ones((2, 2)), np.array([0.0, bad]))
+
+
 def test_dataset_sample_round_trip(rng):
     X = rng.random((5, 3))
     Z = np.ones((5, 3))
@@ -104,6 +114,16 @@ def test_load_csv_ragged_row(tmp_path):
 def test_load_csv_unparseable_cell(tmp_path):
     p = _write(tmp_path / "a.csv", "1,abc,3\n")
     with pytest.raises(CsvFormatError, match="abc"):
+        load_csv(p)
+
+
+def test_load_csv_nonfinite_cell(tmp_path):
+    for cell in ("inf", "-Infinity", "1e999"):
+        p = _write(tmp_path / "a.csv", f"0.1,0.2,1\n{cell},0.5,2\n0.3,?,3\n0.4,0.9,4\n")
+        with pytest.raises(CsvFormatError, match="row 1, column 0"):
+            load_csv(p)
+    p = _write(tmp_path / "a.csv", "0.1,0.2,1\n0.3,0.5,inf\n")
+    with pytest.raises(CsvFormatError, match="row 1, column 2"):
         load_csv(p)
 
 

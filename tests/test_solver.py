@@ -8,7 +8,6 @@ from imputed_ridge import (
     Hyperparams,
     IrrSolution,
     LiftedTensor,
-    PrimalPoint,
     SolverConfig,
     build_km,
     build_kmn,
@@ -17,10 +16,9 @@ from imputed_ridge import (
     min_eigpair,
     predict,
     predict_batch,
-    primal_objective,
     range_basis,
     relaxed_core,
-    ridge_alpha,
+    ridge_weights,
     rmse,
     save_solution,
     solve_irr,
@@ -50,45 +48,36 @@ def gaussian_elimination(A, b):
     return x
 
 
-def test_ridge_alpha_against_elimination(rng):
+def dense_alpha(K, y, lam):
+    """Dual ridge reference: (K + m*lam*I)^{-1} y by a dense solve."""
+    m = y.shape[0]
+    return np.linalg.solve(K + m * lam * np.eye(m), y)
+
+
+def test_ridge_weights_against_elimination(rng):
     for _ in range(10):
         m = int(rng.integers(3, 12))
-        B = rng.standard_normal((m, m))
-        K = B @ B.T
+        d = int(rng.integers(1, 6))
+        U = rng.standard_normal((m, d))
         y = rng.standard_normal(m)
         lam = float(rng.uniform(0.05, 2.0))
-        alpha = ridge_alpha(K, y, lam)
-        expect = gaussian_elimination(K + m * lam * np.eye(m), y)
-        np.testing.assert_allclose(alpha, expect, atol=1e-9)
+        w = ridge_weights(U, y, lam)
+        expect = gaussian_elimination(U.T @ U + m * lam * np.eye(d), U.T @ y)
+        np.testing.assert_allclose(w, expect, atol=1e-9)
 
 
-def test_ridge_alpha_residual_bound(rng):
-    m = 30
-    B = rng.standard_normal((m, m))
-    K = B @ B.T
+def test_ridge_weights_residual_bound(rng):
+    m, d = 30, 8
+    U = rng.standard_normal((m, d))
     y = rng.standard_normal(m)
-    alpha = ridge_alpha(K, y, 0.3)
-    resid = np.linalg.norm((K + m * 0.3 * np.eye(m)) @ alpha - y)
-    assert resid <= 1e-8 * np.linalg.norm(y)
+    w = ridge_weights(U, y, 0.3)
+    resid = np.linalg.norm((U.T @ U + m * 0.3 * np.eye(d)) @ w - U.T @ y)
+    assert resid <= 1e-8 * np.linalg.norm(U.T @ y)
 
 
-def test_ridge_alpha_shape_check(rng):
+def test_ridge_weights_shape_check(rng):
     with pytest.raises(ValueError):
-        ridge_alpha(np.eye(3), np.zeros(4), 1.0)
-
-
-def test_primal_objective_brute_force(rng):
-    ds = random_corrupted(rng, 9, 3)
-    w = rng.standard_normal(3)
-    M = rng.standard_normal((3, 3)) * 0.2
-    lam = 0.7
-    total = 0.0
-    for i in range(ds.m):
-        xi = ds.X[i] + (1.0 - ds.Z[i]) * (M.T @ ds.X[i])
-        total += (ds.y[i] - w @ xi) ** 2
-    expect = 0.5 * lam * (w @ w) + total / ds.m
-    got = primal_objective(PrimalPoint(w=w, M=M), ds, lam)
-    assert got == pytest.approx(expect, rel=1e-12)
+        ridge_weights(np.eye(3), np.zeros(4), 1.0)
 
 
 def test_no_corruption_collapses_to_ridge(rng):
@@ -98,7 +87,7 @@ def test_no_corruption_collapses_to_ridge(rng):
     ds = Dataset(X, np.ones((m, d)), rng.uniform(-1, 1, m))
     hp = Hyperparams(lam=0.2, gamma=1.0)
     sol = solve_irr(ds, hp)
-    alpha = ridge_alpha(X @ X.T, ds.y, hp.lam)
+    alpha = dense_alpha(X @ X.T, ds.y, hp.lam)
     test = Dataset(X, np.ones((m, d)), np.zeros(m))
     np.testing.assert_allclose(
         predict_batch(sol, test), (X @ X.T) @ alpha, atol=1e-6
@@ -110,7 +99,7 @@ def test_gamma_zero_collapses_to_zero_fill(rng):
     ds = random_corrupted(rng, 18, 4)
     hp = Hyperparams(lam=0.3, gamma=0.0)
     sol = solve_irr(ds, hp)
-    alpha = ridge_alpha(ds.X @ ds.X.T, ds.y, hp.lam)
+    alpha = dense_alpha(ds.X @ ds.X.T, ds.y, hp.lam)
     np.testing.assert_allclose(sol.alpha, alpha, atol=1e-8)
     assert np.all(sol.M == 0.0)
     np.testing.assert_allclose(
@@ -128,7 +117,7 @@ def test_solution_invariants(rng):
         sol = solve_irr(ds, Hyperparams(lam=lam, gamma=gam), STRONG)
         assert np.linalg.norm(sol.M) <= gam + 1e-9
         assert sol.N.norm <= gam * gam + 1e-9
-        K = build_kmn(ds, sol.M, sol.N).K
+        K = build_kmn(ds, sol.M, sol.N)
         lam_min = float(np.linalg.eigvalsh(K)[0])
         assert lam_min >= -1e-7 - 1e-9 * abs(K).max()
         if lam_min >= 0:
@@ -142,7 +131,7 @@ def test_objective_never_worse_than_zero_map(rng):
         ds = random_corrupted(rng, 12, 3)
         lam = 0.4
         sol = solve_irr(ds, Hyperparams(lam=lam, gamma=0.8), STRONG)
-        alpha0 = ridge_alpha(ds.X @ ds.X.T, ds.y, lam)
+        alpha0 = dense_alpha(ds.X @ ds.X.T, ds.y, lam)
         assert sol.diagnostics.objective <= float(ds.y @ alpha0) + 1e-9
 
 
@@ -161,7 +150,7 @@ def test_relaxation_soundness_small(rng):
             r = gam * rng.random() ** (1.0 / (d * d))
             Mr = G * (r / np.linalg.norm(G))
             val = float(ds.y @ np.linalg.solve(
-                build_km(ds, Mr).K + m * lam * np.eye(m), ds.y
+                build_km(ds, Mr) + m * lam * np.eye(m), ds.y
             ))
             assert val - sol.diagnostics.objective >= -1e-6
 
@@ -169,7 +158,7 @@ def test_relaxation_soundness_small(rng):
 def test_train_predictions_match_kernel(rng):
     ds = random_corrupted(rng, 15, 4)
     sol = solve_irr(ds, Hyperparams(lam=0.1, gamma=1.0))
-    K = build_kmn(ds, sol.M, sol.N).K
+    K = build_kmn(ds, sol.M, sol.N)
     np.testing.assert_allclose(predict_batch(sol, ds), K @ sol.alpha, atol=1e-8)
 
 
@@ -202,7 +191,7 @@ def test_wide_basis_refit_repeatable_and_psd():
     s2 = solve_irr(ds, hp)
     assert s1.diagnostics == s2.diagnostics
     np.testing.assert_array_equal(s1.alpha, s2.alpha)
-    K = build_kmn(ds, s1.M, s1.N).K
+    K = build_kmn(ds, s1.M, s1.N)
     floor = -SolverConfig().eps_psd - 1e-9 * np.abs(K).max()
     assert np.linalg.eigvalsh(K)[0] >= floor
 
@@ -247,7 +236,7 @@ def test_factored_path_matches_dense():
             if trial % 2:
                 S = S - 3.0 * np.eye(d)  # pushes K indefinite
             S *= gamma**2 * rng.uniform(0.5, 1.0) / np.sqrt((S * S).sum())
-            K = build_kmn(ds, M, LiftedTensor(S, gamma**2)).K
+            K = build_kmn(ds, M, LiftedTensor(S, gamma**2))
             scale = max(np.abs(K).max(), 1.0)
             T = relaxed_core(R, M, S[active], active)
             lam_min, v, w, U = min_eigpair(T, Q)
@@ -264,7 +253,7 @@ def test_factored_path_matches_dense():
                 # the Cholesky of the shifted dense kernel fails
                 assert _core_solve(Q, w, U, y, -0.5 * w[0]) is None
                 with pytest.raises(np.linalg.LinAlgError):
-                    ridge_alpha(K, y, -0.5 * w[0] / m)
+                    np.linalg.cholesky(K - 0.5 * w[0] * np.eye(m))
                 refused += 1
             alpha = _core_solve(Q, w, U, y, mlam)
             assert alpha is not None
@@ -273,7 +262,7 @@ def test_factored_path_matches_dense():
             indefinite_solved += lam_min < 0.0
             # the polish evaluates the exact kernel of the imputed rows
             Ximp = ds.X + Zb * (ds.X @ M)
-            exact = ridge_alpha(build_km(ds, M), y, lam)
+            exact = dense_alpha(build_km(ds, M), y, lam)
             primal = _primal_alpha(Ximp, y, mlam)
             assert np.linalg.norm(primal - exact) <= 1e-9 * np.linalg.norm(exact)
     assert ranks[0] < 200 and ranks[1] == 60 and ranks[2] == 0
@@ -380,6 +369,16 @@ def test_solver_config_round_trip():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_outer=0)
+
+
+def test_solver_config_from_json_rejects_bad_input():
+    with pytest.raises(ValueError, match="max_iter"):
+        SolverConfig.from_json('{"max_iter": 5}')
+    for text in ("[1, 2]", "3", '"tol"', "null"):
+        with pytest.raises(ValueError, match="JSON object"):
+            SolverConfig.from_json(text)
+    with pytest.raises(ValueError):
+        SolverConfig.from_json('{"tol": null}')
 
 
 def test_empty_train_rejected():
