@@ -13,11 +13,9 @@ Run it directly; it prints everything and takes about a second.
 import numpy as np
 
 from imputed_ridge import (
-    CorruptedSample,
     CorruptionKind,
     CorruptionSpec,
     Dataset,
-    apply_baseline,
     apply_baseline_matrix,
     calibrate_beta,
     fit_independent,
@@ -67,11 +65,11 @@ def main():
         err = np.sqrt(((repaired - X)[missing] ** 2).mean())
         print(f"{name:5s} rmse on deleted entries {err:.4f}")
 
-    # single-sample path agrees with the matrix path
+    # a one-row call fills that row exactly as the whole matrix does
     imp = fit_independent(ds)
-    one = apply_baseline(imp, CorruptedSample(ds.X[0], ds.Z[0], ds.y[0]))
+    one = apply_baseline_matrix(imp, ds.X[:1], ds.Z[:1])[0]
     same = np.allclose(one, apply_baseline_matrix(imp, ds.X, ds.Z)[0])
-    print(f"per-sample path matches the matrix path: {same}")
+    print(f"one-row fill matches the matrix fill: {same}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ round out the package.
 """
 
 from .dataset import (
-    CorruptedSample,
     CsvFormatError,
     Dataset,
     DatasetStats,
@@ -17,7 +16,6 @@ from .dataset import (
     stats,
 )
 from .corruption import (
-    CorruptionDebug,
     CorruptionKind,
     CorruptionSpec,
     calibrate_beta,
@@ -28,7 +26,6 @@ from .corruption import (
 from .imputation import (
     BaselineImputer,
     BaselineKind,
-    apply_baseline,
     apply_baseline_matrix,
     fit_independent,
     fit_mean,
@@ -50,7 +47,6 @@ from .solver import (
     IrrSolution,
     SolverConfig,
     load_solution,
-    predict,
     predict_batch,
     ridge_weights,
     rmse,

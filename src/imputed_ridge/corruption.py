@@ -7,7 +7,6 @@ generator, so a (seed, shape) pair always yields the same mask.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,7 +21,7 @@ class CorruptionKind(Enum):
 
 @dataclass(frozen=True)
 class CorruptionSpec:
-    """Serializable description of one corruption process."""
+    """Description of one corruption process."""
 
     kind: CorruptionKind
     beta: float = 0.0
@@ -38,35 +37,8 @@ class CorruptionSpec:
         if self.kind is CorruptionKind.COLUMN_BLOCK and self.block_size <= 0:
             raise ValueError("column corruption needs a positive block_size")
 
-    def to_json(self) -> str:
-        obj = {"kind": self.kind.value, "beta": self.beta, "seed": self.seed}
-        if self.kind is CorruptionKind.COLUMN_BLOCK:
-            obj["block_size"] = self.block_size
-            obj["eligible_blocks"] = list(self.eligible_blocks)
-        return json.dumps(obj)
 
-    @classmethod
-    def from_json(cls, text: str) -> "CorruptionSpec":
-        obj = json.loads(text)
-        return cls(
-            kind=CorruptionKind(obj["kind"]),
-            beta=float(obj.get("beta", 0.0)),
-            block_size=int(obj.get("block_size", 0)),
-            eligible_blocks=tuple(obj.get("eligible_blocks", ())),
-            seed=int(obj.get("seed", 0)),
-        )
-
-
-@dataclass(frozen=True)
-class CorruptionDebug:
-    """Internal random draws exposed for statistical tests."""
-
-    p: np.ndarray | None = None
-    tau: np.ndarray | None = None
-    sign: np.ndarray | None = None
-
-
-def corrupt_independent(X, beta, seed, with_debug=False):
+def corrupt_independent(X, beta, seed):
     """Feature-independent deletion.
 
     One rate p_k ~ U[0, beta] is drawn per feature, then each entry of
@@ -81,19 +53,18 @@ def corrupt_independent(X, beta, seed, with_debug=False):
     rng = np.random.default_rng(seed)
     p = rng.uniform(0.0, beta, size=d)
     u = rng.random((m, d))
-    Z = (u >= p).astype(float)
-    if with_debug:
-        return Z, CorruptionDebug(p=p)
-    return Z
+    return (u >= p).astype(float)
 
 
-def corrupt_dependent(X, beta, seed, with_debug=False):
+def corrupt_dependent(X, beta, seed):
     """Value-dependent deletion.
 
     Each feature draws a threshold tau_k ~ U[0, 1] and a direction
     sign_k in {-1, +1}; an entry is deleted with probability beta iff
     sign_k * (x - tau_k) > 0.  Requires features already scaled to
-    [0, 1], otherwise thresholds would miss the data's range.
+    [0, 1], otherwise thresholds would miss the data's range.  Draw
+    order is fixed: thresholds, then uniforms for the directions
+    (sign_k = -1 below 0.5), then the per-entry uniforms.
     """
     X = np.asarray(X, dtype=float)
     m, d = X.shape
@@ -108,10 +79,7 @@ def corrupt_dependent(X, beta, seed, with_debug=False):
     sign = np.where(rng.random(d) < 0.5, -1.0, 1.0)
     u = rng.random((m, d))
     exceeds = sign * (X - tau) > 0.0
-    Z = np.where(exceeds & (u < beta), 0.0, 1.0)
-    if with_debug:
-        return Z, CorruptionDebug(tau=tau, sign=sign)
-    return Z
+    return np.where(exceeds & (u < beta), 0.0, 1.0)
 
 
 def corrupt_column_block(X, block_size, eligible_blocks, seed):

@@ -25,37 +25,6 @@ class CsvFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class CorruptedSample:
-    """One observation: masked features, observation mask, label.
-
-    ``xt`` holds zeros at unobserved coordinates; ``z`` is 1.0 where the
-    feature was seen and 0.0 where it was not.  Arrays are owned by the
-    caller and treated as immutable.
-    """
-
-    xt: np.ndarray
-    z: np.ndarray
-    y: float
-
-    def __post_init__(self):
-        xt = np.asarray(self.xt, dtype=float)
-        z = np.asarray(self.z, dtype=float)
-        object.__setattr__(self, "xt", xt)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "y", float(self.y))
-        if xt.ndim != 1 or z.shape != xt.shape:
-            raise ValueError("xt and z must be 1-d arrays of equal length")
-        if not np.all((z == 0.0) | (z == 1.0)):
-            raise ValueError("mask entries must be 0 or 1")
-        if np.any(xt[z == 0.0] != 0.0):
-            raise ValueError("masked coordinates must be stored as zero")
-
-    @property
-    def d(self) -> int:
-        return self.xt.shape[0]
-
-
-@dataclass(frozen=True)
 class Dataset:
     """A batch of corrupted samples in matrix form.
 
@@ -97,9 +66,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-    def sample(self, i: int) -> CorruptedSample:
-        return CorruptedSample(self.X[i].copy(), self.Z[i].copy(), float(self.y[i]))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import CorruptedSample, Dataset
+from .dataset import Dataset
 
 FEASIBILITY_SLACK = 1e-9
 
@@ -99,14 +99,6 @@ def fit_independent(train: Dataset, eps: float = 1e-8) -> BaselineImputer:
         w[k] = 0.0  # zeroed column keeps A's k-th row/col at eps only
         M[:, k] = w
     return BaselineImputer(BaselineKind.INDEPENDENT, M_ind=M)
-
-
-def apply_baseline(imputer: BaselineImputer, sample: CorruptedSample) -> np.ndarray:
-    """Fill one sample with a fitted baseline."""
-    filled = apply_baseline_matrix(
-        imputer, sample.xt[None, :], sample.z[None, :]
-    )
-    return filled[0]
 
 
 def apply_baseline_matrix(imputer: BaselineImputer, X, Z) -> np.ndarray:

@@ -3,8 +3,8 @@
 The exact matrix is the Gram of the imputed rows and is quadratic in
 the imputation map M, which ruins convexity of the training objective.
 The relaxed form replaces every product of two M columns with its own
-d x d matrix (one slice N_k per feature), so the entries become affine
-in (M, N):
+d x d matrix (one symmetric slice N_k per feature), so the entries
+become affine in (M, N):
 
     K[i, j] = xt_i.xt_j + xt_i' M Zb_i xt_j + xt_i' Zb_j M' xt_j
               + sum_k zb_ik zb_jk xt_i' N_k xt_j
@@ -15,19 +15,21 @@ exact matrix on corrupted coordinates, so the affine family contains
 every exact one; the price is that a free N can make the matrix
 indefinite, which the solver polices with eigenvector cuts.
 
+This module is the only place that knows the formula, in two forms.
 Whatever (M, N) is, the matrix factors through X's columns and their
 masked copies, B = [X, Zb_k * X for the a features k with a masked
 entry]: K = B S(M, N) B' with a c x c matrix S, c = d(1 + a), whose
 blocks are I on the X block, M[:, k] e_k' between the X block and
-block k, and N_k on block k.  With B = Q R (range_basis, Q orthonormal
-m x r, r <= c the rank of B), K = Q T Q' for the r x r core
-T = R S R' (relaxed_core).  So the solver never forms K: the
-eigenvalues of K are those of T plus, when r < m, zeros on the
-complement of span Q, and one eigendecomposition of T (min_eigpair)
-gives both the PSD certificate and the ridge solve.  build_km and
-build_kmn (through assemble_relaxed) form the m x m matrix as a plain
-array, for callers that need K itself, such as theory's empirical
-capacity estimate.  Since a' K a is affine in (M, N) for a fixed
+block k, and N_k on block k.  relaxed_core computes F S F' for any F
+in B's column layout.  With F = B it is the m x m matrix (build_kmn).
+With B = Q R (range_basis, Q orthonormal m x r, r <= c the rank of B)
+and F = R it is the r x r core T of K = Q T Q'.  So the solver never
+forms K: the eigenvalues of K are those of T plus, when r < m, zeros
+on the complement of span Q, and one eigendecomposition of T
+(min_eigpair) gives both the PSD certificate and the ridge solve.
+relaxed_apply is the kernel-vector form: K(X0 rows, X rows) alpha for
+any rows X0, which gives dual predictions and kernel-vector products
+without forming either matrix.  Since a' K a is affine in (M, N) for a fixed
 vector a, its coefficients (quad_factors) are also its gradient.
 
 Budgets are Frobenius balls: ||M||_F <= gamma and
@@ -78,15 +80,6 @@ class LiftedTensor:
     def zeros(cls, d: int, gamma2: float = 0.0) -> "LiftedTensor":
         return cls(np.zeros((d, d, d)), gamma2)
 
-    @classmethod
-    def projected(cls, slices, gamma2) -> "LiftedTensor":
-        """Radially scale the stack onto the budget ball."""
-        slices = np.asarray(slices, dtype=float)
-        norm = float(np.sqrt((slices * slices).sum()))
-        if norm > gamma2 and norm > 0:
-            slices = slices * (gamma2 / norm)
-        return cls(slices, gamma2)
-
 
 def lift(M) -> LiftedTensor:
     """Exact lift of an imputation map: slice k is outer(M[:, k], M[:, k]).
@@ -110,28 +103,8 @@ def build_km(train: Dataset, M) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
-def assemble_relaxed(X, Zb, M, slices, active) -> np.ndarray:
-    """Relaxed Gram from raw arrays.
-
-    ``slices`` holds one d x d matrix per index in ``active`` (features
-    with at least one masked entry); inactive features contribute
-    nothing because their zb column is identically zero.
-    """
-    m = X.shape[0]
-    G = X @ X.T
-    C = Zb * (X @ M)
-    T2 = C @ X.T
-    G = G + T2 + T2.T
-    active = np.asarray(active, dtype=int)
-    if active.size:
-        B = Zb[:, active, None] * X[:, None, :]  # B[i, k, :] = zb_i[k] xt_i
-        A = np.einsum("ikr,krs->iks", B, slices, optimize=True)
-        G = G + A.reshape(m, -1) @ B.reshape(m, -1).T
-    return 0.5 * (G + G.T)
-
-
 def build_kmn(train: Dataset, M, N: LiftedTensor) -> np.ndarray:
-    """Relaxed m x m Gram matrix, affine in (M, N)."""
+    """Relaxed m x m Gram matrix, affine in (M, N): relaxed_core on B itself."""
     M = np.asarray(M, dtype=float)
     d = train.d
     if M.shape != (d, d):
@@ -140,7 +113,7 @@ def build_kmn(train: Dataset, M, N: LiftedTensor) -> np.ndarray:
         raise ValueError(f"N must carry {d} slices of shape ({d}, {d})")
     Zb = 1.0 - train.Z
     active = np.flatnonzero(Zb.any(axis=0))
-    return assemble_relaxed(train.X, Zb, M, N.slices[active], active)
+    return relaxed_core(_basis(train.X, Zb, active), M, N.slices[active], active)
 
 
 def quad_factors(X, Zb, a):
@@ -157,6 +130,11 @@ def quad_factors(X, Zb, a):
     return float(s @ s), s, V
 
 
+def _basis(X, Zb, active):
+    """B = [X, Zb[:, k] * X for k in active], the m x d(1 + a) factor of K."""
+    return np.concatenate([X] + [Zb[:, [k]] * X for k in active], axis=1)
+
+
 def range_basis(X, Zb, active):
     """Factor B = [X, Zb[:, k] * X for k in active] as B = Q R.
 
@@ -167,7 +145,7 @@ def range_basis(X, Zb, active):
     entry: Q is m x r and R is r x c with its columns in B's order, r
     the numerical rank.  An identically zero X gives r = 0.
     """
-    B = np.concatenate([X] + [Zb[:, [k]] * X for k in active], axis=1)
+    B = _basis(X, Zb, active)
     Q, R, piv = scipy.linalg.qr(B, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     rank = int((diag > diag[0] * 1e-12).sum()) if diag.size and diag[0] > 0 else 0
@@ -176,27 +154,57 @@ def range_basis(X, Zb, active):
     return Q[:, :rank], R_b
 
 
-def relaxed_core(R, M, slices, active) -> np.ndarray:
-    """The r x r core T = R S(M, N) R' of the relaxed Gram K = Q T Q'.
+def relaxed_core(F, M, slices, active) -> np.ndarray:
+    """F S(M, N) F' for a factor F in B's column layout.
 
-    ``R`` is the second factor of range_basis for the same ``active``;
-    ``M`` and ``slices`` are as for assemble_relaxed.  With R split
-    into d-column blocks R_0 (the X block) and R_k (block k):
+    ``slices`` holds one d x d matrix per index in ``active`` (features
+    with at least one masked entry); inactive features contribute
+    nothing because their Zb column is identically zero.  F = R from
+    range_basis gives the r x r core T of K = Q T Q'; F = B gives K.
+    With F split into d-column blocks F_0 (the X block) and F_k
+    (block k):
 
-        T = R_0 R_0' + sum_k [(R_k M[:, k]) R_0[:, k]' + transpose]
-                     + sum_k R_k N_k R_k'
+        F S F' = F_0 F_0' + sum_k [(F_k M[:, k]) F_0[:, k]' + transpose]
+                          + sum_k F_k N_k F_k'
 
-    which costs O(r a d^2 + r^2 a d) and nothing in m.
+    which costs O(n a d^2 + n^2 a d) for an n-row F.
     """
     active = np.asarray(active, dtype=int)
-    r, d = R.shape[0], M.shape[0]
-    R0 = R[:, :d]
-    Rk = R[:, d:].reshape(r, active.size, d)  # Rk[:, k, :] is block k
-    P = np.einsum("iks,sk->ik", Rk, M[:, active]) @ R0[:, active].T
-    A = np.einsum("iks,kst->ikt", Rk, slices, optimize=True)
+    n, d = F.shape[0], M.shape[0]
+    F0 = F[:, :d]
+    Fk = F[:, d:].reshape(n, active.size, d)  # Fk[:, k, :] is block k
+    P = np.einsum("iks,sk->ik", Fk, M[:, active]) @ F0[:, active].T
+    A = np.einsum("iks,kst->ikt", Fk, slices, optimize=True)
     cols = active.size * d
-    T = R0 @ R0.T + P + P.T + A.reshape(r, cols) @ Rk.reshape(r, cols).T
+    T = F0 @ F0.T + P + P.T + A.reshape(n, cols) @ Fk.reshape(n, cols).T
     return 0.5 * (T + T.T)
+
+
+def relaxed_apply(X, Zb, M, slices, alpha, X0, Z0) -> np.ndarray:
+    """K(X0 rows, X rows) alpha without forming either kernel.
+
+    ``X, Zb`` are the rows alpha weights and their missingness
+    indicators, ``X0, Z0`` the rows to evaluate and their observation
+    mask, ``slices`` all d slices of N.  Summing the module's formula
+    over the X rows against alpha gives, for a row x0 with missingness
+    indicator zb0,
+
+        x0 . u0 + sum_k zb0_k (x0 . P[:, k]),
+        u0 = s + colsum(M * V),   P[:, k] = M[:, k] s_k + N_k V[:, k]
+
+    with (s, V) from quad_factors.  N_k enters through its symmetric
+    part, so for any stack this is the cross block of relaxed_core's
+    symmetrized matrix on the rows [X; X0].  Features no X row masks have
+    V[:, k] = 0 but keep the M term where x0 masks them.  The masked
+    sum is the full row sum minus its observed part, so the only n x d
+    temporary is X0 P.  O(m d^2 + d^3) once plus O(d^2) per row.
+    """
+    _, s, V = quad_factors(X, Zb, alpha)
+    u0 = s + (M * V).sum(axis=0)
+    P = M * s + 0.5 * np.einsum("krs,sk->rk", slices + slices.transpose(0, 2, 1), V)
+    observed = X0 @ P
+    observed *= Z0
+    return X0 @ (u0 + P.sum(axis=1)) - observed.sum(axis=1)
 
 
 def min_eigpair(T, Q):

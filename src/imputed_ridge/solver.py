@@ -40,18 +40,19 @@ d x d normal equations, never the m x m Gram U U'.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
 
-from .dataset import CorruptedSample, Dataset
+from .dataset import Dataset
 from .kernel import (
     LiftedTensor,
     lift,
     min_eigpair,
     quad_factors,
     range_basis,
+    relaxed_apply,
     relaxed_core,
 )
 
@@ -82,31 +83,31 @@ class SolverConfig:
     eps_psd: float = 1e-7
 
     def __post_init__(self):
-        if self.tol <= 0 or self.eps_psd <= 0:
+        if not (self.tol > 0 and self.eps_psd > 0):
             raise ValueError("tolerances must be positive")
         if self.max_outer < 1 or self.inner_steps < 1:
             raise ValueError("iteration limits must be at least 1")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
     @classmethod
     def from_json(cls, text: str) -> "SolverConfig":
+        """Read a JSON object of SolverConfig fields; absent keys keep defaults.
+
+        The iteration limits must be JSON integers and the tolerances
+        numbers (booleans are neither), so no value is silently rounded.
+        """
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("solver config must be a JSON object")
         unknown = sorted(set(obj) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown solver config keys: {', '.join(unknown)}")
-        try:
-            return cls(
-                tol=float(obj.get("tol", 1e-3)),
-                max_outer=int(obj.get("max_outer", 200)),
-                inner_steps=int(obj.get("inner_steps", 500)),
-                eps_psd=float(obj.get("eps_psd", 1e-7)),
-            )
-        except TypeError as exc:
-            raise ValueError(f"solver config: {exc}") from None
+        limits = ("max_outer", "inner_steps")
+        for key, value in obj.items():
+            kind = int if key in limits else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if key in limits else "a number"
+                raise ValueError(f"solver config: {key} must be {what}, got {value!r}")
+        return cls(**{k: v if k in limits else float(v) for k, v in obj.items()})
 
 
 @dataclass(frozen=True)
@@ -455,53 +456,23 @@ def _primal_alpha(U, y, mlam):
 def predict_batch(sol: IrrSolution, test: Dataset) -> np.ndarray:
     """Dual predictor on a batch of corrupted samples.
 
-    Evaluates sum_i alpha_i k(x_i, x0) with the relaxed kernel extended
-    to a test point x0, reusing the training-side aggregates so the
-    cost is O(m d^2) once plus O(d^2) per test row.
+    Evaluates sum_i alpha_i k(x0, x_i) for every test row x0 through
+    kernel.relaxed_apply: O(m d^2 + d^3) once plus O(d^2) per test
+    row, with no kernel matrix formed.
     """
     if test.d != sol.train.d:
         raise ValueError("test dimension does not match training dimension")
-    X, Z = sol.train.X, sol.train.Z
-    Zb = 1.0 - Z
-    alpha = sol.alpha
-    M = sol.M
-    N = sol.N.slices
-
-    w1 = X.T @ alpha
-    w2 = (Zb * (X @ M)).T @ alpha
-    V = X.T @ (alpha[:, None] * Zb)
-    Q = np.einsum("rk,krs->sk", V, N)
-
-    X0 = test.X
-    Zb0 = 1.0 - test.Z
-    base = X0 @ (w1 + w2)
-    t3 = (((X0 @ M) * Zb0) @ w1)
-    t4 = ((X0 @ Q) * Zb0).sum(axis=1)
-    return base + t3 + t4
+    train = sol.train
+    return relaxed_apply(
+        train.X, 1.0 - train.Z, sol.M, sol.N.slices, sol.alpha, test.X, test.Z
+    )
 
 
-def predict(sol: IrrSolution, sample: CorruptedSample) -> float:
-    """Dual predictor on a single corrupted sample."""
-    one = Dataset(sample.xt[None, :], sample.z[None, :], np.zeros(1))
-    return float(predict_batch(sol, one)[0])
-
-
-def rmse(model, test: Dataset) -> float:
-    """Root mean squared error on a corrupted test set.
-
-    ``model`` may be an IrrSolution, any object with a
-    ``predict(dataset) -> array`` method, or a bare callable.
-    """
+def rmse(sol: IrrSolution, test: Dataset) -> float:
+    """Root mean squared error of a solution on a corrupted test set."""
     if test.m == 0:
         raise ValueError("empty test set")
-    if isinstance(model, IrrSolution):
-        pred = predict_batch(model, test)
-    elif hasattr(model, "predict"):
-        pred = model.predict(test)
-    else:
-        pred = model(test)
-    pred = np.asarray(pred, dtype=float)
-    resid = test.y - pred
+    resid = test.y - predict_batch(sol, test)
     return float(np.sqrt((resid @ resid) / test.m))
 
 

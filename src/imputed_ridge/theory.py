@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .kernel import LiftedTensor, build_kmn
+from .kernel import relaxed_apply
 from .solver import Hyperparams
 
 
@@ -83,10 +83,6 @@ def _unit(rng, shape):
     return g / norm
 
 
-def _symmetrize(slices):
-    return 0.5 * (slices + slices.transpose(0, 2, 1))
-
-
 def empirical_rademacher(ds: Dataset, hp: Hyperparams, B, n_sigma=64, n_hyp=96, seed=0):
     """Monte Carlo estimate of the class's Rademacher complexity.
 
@@ -97,6 +93,8 @@ def empirical_rademacher(ds: Dataset, hp: Hyperparams, B, n_sigma=64, n_hyp=96, 
     through four families: dual weights alone, with the map, with the
     slices, and with both, so every term of the kernel is exercised.
     The estimate must stay below rademacher_bound for matching inputs.
+    Each h(X) = K(M, N) alpha comes from kernel.relaxed_apply on the
+    sample's own rows, so no m x m kernel is formed.
     """
     if ds.m == 0:
         raise ValueError("empty dataset")
@@ -107,17 +105,15 @@ def empirical_rademacher(ds: Dataset, hp: Hyperparams, B, n_sigma=64, n_hyp=96, 
     radius_a = B / (lam * np.sqrt(m))
     rng = np.random.default_rng(seed)
 
+    X, Zb = ds.X, 1.0 - ds.Z
     H = np.empty((n_hyp, m))
     for j in range(n_hyp):
         mode = j % 4
         alpha = radius_a * _unit(rng, m)
         M = gamma * _unit(rng, (d, d)) if mode in (1, 3) else np.zeros((d, d))
-        if mode in (2, 3):
-            slices = _symmetrize(_unit(rng, (d, d, d)))
-            N = LiftedTensor.projected(slices * gamma**2, gamma**2)
-        else:
-            N = LiftedTensor.zeros(d, gamma**2)
-        H[j] = build_kmn(ds, M, N) @ alpha
+        # the kernel sees only the slices' symmetric part
+        slices = gamma**2 * _unit(rng, (d, d, d)) if mode in (2, 3) else np.zeros((d, d, d))
+        H[j] = relaxed_apply(X, Zb, M, slices, alpha, X, ds.Z)
 
     signs = np.where(rng.random((n_sigma, m)) < 0.5, -1.0, 1.0)
     corr = np.abs(signs @ H.T) / m

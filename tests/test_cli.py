@@ -106,7 +106,9 @@ def test_solver_config_file(data_csv, tmp_path):
     assert "irr" in json.loads(out.read_text())["methods"]
 
 
-@pytest.mark.parametrize("text", ['{"max_iter": 5}', "[1, 2]"])
+@pytest.mark.parametrize(
+    "text", ['{"max_iter": 5}', "[1, 2]", '{"max_outer": 2.7}', '{"inner_steps": true}']
+)
 def test_solver_config_file_rejected(data_csv, tmp_path, capsys, text):
     cfg = tmp_path / "solver.json"
     cfg.write_text(text)

@@ -43,12 +43,13 @@ def test_independent_expected_fraction():
 def test_independent_per_feature_rates():
     """Column k is deleted at its own drawn rate p_k."""
     X = np.zeros((4000, 3))
-    Z, dbg = corrupt_independent(X, 0.9, seed=11, with_debug=True)
+    Z = corrupt_independent(X, 0.9, seed=11)
+    p = np.random.default_rng(11).uniform(0.0, 0.9, size=3)  # drawn first
     missing = 1.0 - Z.mean(axis=0)
     # binomial 4-sigma band per column
     for k in range(3):
-        sigma = np.sqrt(dbg.p[k] * (1 - dbg.p[k]) / 4000)
-        assert abs(missing[k] - dbg.p[k]) < 4 * sigma + 1e-9
+        sigma = np.sqrt(p[k] * (1 - p[k]) / 4000)
+        assert abs(missing[k] - p[k]) < 4 * sigma + 1e-9
 
 
 def test_independent_beta_zero_and_validation(rng):
@@ -63,10 +64,19 @@ def test_dependent_requires_unit_interval(rng):
         corrupt_dependent(rng.uniform(-2, 2, (10, 2)), 0.5, seed=0)
 
 
+def _dependent_draws(seed, d):
+    """(tau, sign) in the draw order corrupt_dependent documents."""
+    gen = np.random.default_rng(seed)
+    tau = gen.uniform(0.0, 1.0, size=d)
+    sign = np.where(gen.random(d) < 0.5, -1.0, 1.0)
+    return tau, sign
+
+
 def test_dependent_deletes_only_past_threshold(rng):
     X = rng.random((500, 4))
-    Z, dbg = corrupt_dependent(X, 0.9, seed=3, with_debug=True)
-    safe = dbg.sign[None, :] * (X - dbg.tau[None, :]) <= 0.0
+    Z = corrupt_dependent(X, 0.9, seed=3)
+    tau, sign = _dependent_draws(3, 4)
+    safe = sign * (X - tau) <= 0.0
     # entries on the safe side of the threshold are never deleted
     assert np.all(Z[safe] == 1.0)
 
@@ -74,8 +84,9 @@ def test_dependent_deletes_only_past_threshold(rng):
 def test_dependent_rate_on_exposed_side(rng):
     X = rng.random((4000, 2))
     beta = 0.6
-    Z, dbg = corrupt_dependent(X, beta, seed=9, with_debug=True)
-    exposed = dbg.sign[None, :] * (X - dbg.tau[None, :]) > 0.0
+    Z = corrupt_dependent(X, beta, seed=9)
+    tau, sign = _dependent_draws(9, 2)
+    exposed = sign * (X - tau) > 0.0
     rate = 1.0 - Z[exposed].mean()
     n = exposed.sum()
     assert abs(rate - beta) < 4 * np.sqrt(beta * (1 - beta) / n)
@@ -128,14 +139,6 @@ def test_apply_dispatch(rng):
     np.testing.assert_array_equal(
         apply(s, X), corrupt_column_block(X, 2, (1,), seed=8)
     )
-
-
-def test_spec_json_round_trip():
-    s = CorruptionSpec(CorruptionKind.COLUMN_BLOCK, block_size=8, eligible_blocks=(2, 3), seed=4)
-    s2 = CorruptionSpec.from_json(s.to_json())
-    assert s2 == s
-    s = CorruptionSpec(CorruptionKind.DEPENDENT, beta=0.25, seed=1)
-    assert CorruptionSpec.from_json(s.to_json()) == s
 
 
 def test_spec_accepts_string_kind():

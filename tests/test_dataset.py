@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from imputed_ridge import (
-    CorruptedSample,
     CsvFormatError,
     Dataset,
     load_csv,
@@ -13,19 +12,13 @@ from imputed_ridge import (
 
 
 def test_sample_rejects_nonbinary_mask():
-    with pytest.raises(ValueError):
-        CorruptedSample(np.zeros(3), np.array([1.0, 0.5, 0.0]), 1.0)
+    with pytest.raises(ValueError, match="0 or 1"):
+        Dataset(np.zeros((2, 3)), np.array([[1.0, 1.0, 1.0], [1.0, 0.5, 0.0]]), np.zeros(2))
 
 
 def test_sample_rejects_nonzero_masked_value():
-    with pytest.raises(ValueError):
-        CorruptedSample(np.array([1.0, 2.0]), np.array([1.0, 0.0]), 1.0)
-
-
-def test_sample_dimension():
-    s = CorruptedSample(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 3.0)
-    assert s.d == 2
-    assert s.y == 3.0
+    with pytest.raises(ValueError, match="stored as zero"):
+        Dataset(np.array([[1.0, 0.0], [1.0, 2.0]]), np.array([[1.0, 0.0], [1.0, 0.0]]), np.zeros(2))
 
 
 def test_dataset_shape_validation():
@@ -44,18 +37,6 @@ def test_dataset_rejects_nonfinite():
             Dataset(X, np.ones((2, 2)), np.zeros(2))
         with pytest.raises(ValueError, match="finite"):
             Dataset(np.ones((2, 2)), np.ones((2, 2)), np.array([0.0, bad]))
-
-
-def test_dataset_sample_round_trip(rng):
-    X = rng.random((5, 3))
-    Z = np.ones((5, 3))
-    Z[2, 1] = 0.0
-    X = X * Z
-    ds = Dataset(X, Z, rng.random(5))
-    s = ds.sample(2)
-    assert s.z[1] == 0.0
-    np.testing.assert_array_equal(s.xt, X[2])
-    assert ds.m == 5 and ds.d == 3
 
 
 def _write(path, text):

@@ -13,7 +13,7 @@ from imputed_ridge import (
     relaxed_core,
     solve_irr,
 )
-from imputed_ridge.kernel import quad_factors
+from imputed_ridge.kernel import _basis, quad_factors, relaxed_apply
 from imputed_ridge.solver import _flat_row
 from tests.conftest import random_corrupted
 
@@ -60,6 +60,53 @@ def test_kernel_affine_in_m_and_n(rng):
         + build_kmn(ds, M0, Z0)
     )
     np.testing.assert_allclose(lhs, 0.0, atol=1e-10)
+
+
+def test_build_kmn_matches_entry_formula(rng):
+    """Each entry of build_kmn against the module docstring's K[i, j]."""
+    d = 3
+    # every feature is masked in some row, and rows mask 0, 1 or 2 features
+    Z = np.array([[1, 1, 1], [0, 1, 1], [1, 0, 1], [1, 1, 0], [0, 0, 1], [1, 0, 0]], float)
+    ds = Dataset(rng.random((6, d)) * Z, Z, np.zeros(6))
+    M, N = rng.standard_normal((d, d)), random_lifted(rng, d)
+    K = build_kmn(ds, M, N)
+    X, Zb = ds.X, 1.0 - ds.Z
+    for i in range(ds.m):
+        for j in range(ds.m):
+            want = (
+                X[i] @ X[j]
+                + X[i] @ M @ np.diag(Zb[i]) @ X[j]
+                + X[i] @ np.diag(Zb[j]) @ M.T @ X[j]
+                + sum(Zb[i, k] * Zb[j, k] * (X[i] @ N.slices[k] @ X[j]) for k in range(d))
+            )
+            assert K[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_relaxed_apply_is_cross_block_of_core(rng):
+    """K(test, train) alpha equals the cross block of F S F' on the stacked rows.
+
+    Test rows mask the columns no training row masks, and M has nonzero
+    entries in those columns, so the M term the training side never
+    activates is exercised.  The slices are not symmetric: both forms
+    use their symmetric part.
+    """
+    for _ in range(50):
+        m, n = int(rng.integers(3, 12)), int(rng.integers(1, 8))
+        d = int(rng.integers(3, 6))
+        train = random_corrupted(rng, m, d, observed=[0, 1])
+        Z0 = random_corrupted(rng, n, d, beta=0.9).Z
+        Z0[0, :2] = 0.0
+        X0 = rng.random((n, d)) * Z0
+        M, N = rng.standard_normal((d, d)), rng.standard_normal((d, d, d))
+        alpha = rng.standard_normal(m)
+        got = relaxed_apply(train.X, 1.0 - train.Z, M, N, alpha, X0, Z0)
+
+        X = np.concatenate([train.X, X0])
+        Zb = 1.0 - np.concatenate([train.Z, Z0])
+        active = np.flatnonzero(Zb.any(axis=0))
+        K = relaxed_core(_basis(X, Zb, active), M, N[active], active)
+        want = K[m:, :m] @ alpha
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
 
 def test_kernel_zero_point_is_gram(rng):
@@ -250,5 +297,5 @@ def test_min_eigpair_rank_zero_basis():
 def test_lifted_tensor_budget():
     with pytest.raises(ValueError):
         LiftedTensor(np.ones((2, 2, 2)), gamma2=1.0)
-    t = LiftedTensor.projected(np.ones((2, 2, 2)), gamma2=1.0)
-    assert t.norm == pytest.approx(1.0)
+    t = LiftedTensor(0.5 * np.ones((2, 2, 2)), gamma2=2.0)
+    assert t.norm == pytest.approx(np.sqrt(2.0))

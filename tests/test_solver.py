@@ -5,6 +5,7 @@ import pytest
 
 from imputed_ridge import (
     Dataset,
+    Diagnostics,
     Hyperparams,
     IrrSolution,
     LiftedTensor,
@@ -14,7 +15,6 @@ from imputed_ridge import (
     corrupt_independent,
     load_solution,
     min_eigpair,
-    predict,
     predict_batch,
     range_basis,
     relaxed_core,
@@ -300,7 +300,8 @@ def test_predict_single_matches_batch(rng):
     test = random_corrupted(rng, 6, 3)
     batch = predict_batch(sol, test)
     for i in range(test.m):
-        assert predict(sol, test.sample(i)) == pytest.approx(batch[i], abs=1e-12)
+        one = Dataset(test.X[i : i + 1], test.Z[i : i + 1], test.y[i : i + 1])
+        assert predict_batch(sol, one)[0] == pytest.approx(batch[i], abs=1e-12)
 
 
 def test_predict_dimension_check(rng):
@@ -308,20 +309,6 @@ def test_predict_dimension_check(rng):
     sol = solve_irr(ds, Hyperparams(lam=0.5, gamma=0.5))
     with pytest.raises(ValueError):
         predict_batch(sol, random_corrupted(rng, 4, 2))
-
-
-def test_rmse_accepts_solution_object_and_callable(rng):
-    ds = random_corrupted(rng, 12, 3)
-    sol = solve_irr(ds, Hyperparams(lam=0.5, gamma=0.5))
-    r1 = rmse(sol, ds)
-    r2 = rmse(lambda t: predict_batch(sol, t), ds)
-    assert r1 == pytest.approx(r2)
-
-    class Wrapped:
-        def predict(self, t):
-            return predict_batch(sol, t)
-
-    assert rmse(Wrapped(), ds) == pytest.approx(r1)
 
 
 def test_rmse_empty_test_rejected(rng):
@@ -333,10 +320,19 @@ def test_rmse_empty_test_rejected(rng):
 
 
 def test_rmse_hand_value():
-    ds = Dataset(np.ones((2, 1)), np.ones((2, 1)), np.array([1.0, 3.0]))
-    assert rmse(lambda t: np.array([2.0, 3.0]), ds) == pytest.approx(
-        np.sqrt((1.0 + 0.0) / 2)
+    # one fully observed training row x = 1 with alpha = 2: the kernel is
+    # x x0, so test rows x0 = 1 and 1.5 are predicted as 2 and 3
+    train = Dataset(np.ones((1, 1)), np.ones((1, 1)), np.zeros(1))
+    sol = IrrSolution(
+        alpha=np.array([2.0]),
+        M=np.zeros((1, 1)),
+        N=LiftedTensor.zeros(1),
+        train=train,
+        hp=Hyperparams(lam=1.0, gamma=0.0),
+        diagnostics=Diagnostics(1, 0.0, 0, 0.0, True),
     )
+    test = Dataset(np.array([[1.0], [1.5]]), np.ones((2, 1)), np.array([1.0, 3.0]))
+    assert rmse(sol, test) == pytest.approx(np.sqrt((1.0 + 0.0) / 2))
 
 
 def test_save_load_round_trip(rng, tmp_path):
@@ -363,8 +359,11 @@ def test_hyperparams_validation():
 
 
 def test_solver_config_round_trip():
+    text = '{"tol": 1e-4, "max_outer": 33, "inner_steps": 77, "eps_psd": 1e-8}'
     cfg = SolverConfig(tol=1e-4, max_outer=33, inner_steps=77, eps_psd=1e-8)
-    assert SolverConfig.from_json(cfg.to_json()) == cfg
+    assert SolverConfig.from_json(text) == cfg
+    assert SolverConfig.from_json('{"tol": 1}').tol == 1.0
+    assert SolverConfig.from_json("{}") == SolverConfig()
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
@@ -377,8 +376,16 @@ def test_solver_config_from_json_rejects_bad_input():
     for text in ("[1, 2]", "3", '"tol"', "null"):
         with pytest.raises(ValueError, match="JSON object"):
             SolverConfig.from_json(text)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tol"):
         SolverConfig.from_json('{"tol": null}')
+    # no silent rounding or casting: 2.7 is not an iteration count, true
+    # is not 1, and neither booleans nor strings are tolerances
+    for key, value in (("max_outer", "2.7"), ("inner_steps", "true"),
+                       ("max_outer", "2.0"), ("tol", "false"), ("eps_psd", '"1e-7"')):
+        with pytest.raises(ValueError, match=key):
+            SolverConfig.from_json(f'{{"{key}": {value}}}')
+    with pytest.raises(ValueError, match="positive"):
+        SolverConfig.from_json('{"tol": NaN}')
 
 
 def test_empty_train_rejected():
