@@ -15,7 +15,9 @@ which this module minimizes with cutting planes:
      solve the ridge system for the maximizing alpha through it, in
      O(m r), and add alpha to an active set;
   2. re-minimize the active-set maximum over the Frobenius balls with
-     projected subgradient steps;
+     projected subgradient steps, in plane coordinates: the iterate is
+     a combination of the planes' and cuts' coefficient rows, and the
+     steps only need those rows' k x k Grams;
   3. if the current kernel has a negative eigenvalue, add the affine
      constraint v' K(M, N) v >= 0 for the offending eigenvector
      v = Q U[:, 0], from the same eigendecomposition, whatever the
@@ -24,9 +26,12 @@ which this module minimizes with cutting planes:
      relative tolerance.
 
 Every alpha and every eigenvector enters the master step through the
-same factorization (quad_factors), so one inner iteration costs a few
-stacked contractions.  No step of a solve forms an m x m matrix: the
-per-iteration work is O(m r) plus the r x r core, r <= d(1 + a).  A
+same factorization (quad_factors): its pair (s, V) gives one new row
+and column of each Gram in O(k d a), and one inner iteration costs
+O(k) for k planes and cuts, whatever d.  The iterate's (M, N) is
+rebuilt from its coefficients once per outer iteration.  No step of a
+solve forms an m x m matrix: the per-iteration work is O(m r) plus
+the r x r core, r <= d(1 + a).  A
 short projected gradient polish on the exact-imputation objective runs
 after the cutting planes, each evaluation a d x d primal ridge solve;
 its result is adopted only when it improves, which is always sound
@@ -40,6 +45,7 @@ d x d normal equations, never the m x m Gram U U'.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -150,58 +156,161 @@ def ridge_weights(U, y, lam) -> np.ndarray:
     return scipy.linalg.solve(G, U.T @ y, assume_a="pos")
 
 
-def _flat_row(s, V):
-    """Coefficient vector of the affine map (M, N) -> quadratic-term value.
+class _Rows:
+    """The planes and cuts of the cutting-plane model, in plane coordinates.
 
-    With x = [vec(M_active), vec(N_active)], the map a' K a - a' X X' a
-    equals row . x, where the M block carries 2 s_k V[:, k] and the N
-    block the outer products V[:, k] V[:, k]'.
+    Row j is the affine map (M, N) -> a_j' K a_j - a_j' X X' a_j of one
+    dual vector or cut vector a_j.  From quad_factors' pair (s_j, V_j),
+    restricted to the active features, its M block is
+    B_j = 2 V_j diag(s_j) and its N block the outer products
+    V_j[:, k] V_j[:, k]'; only B_j and V_j are stored.  Planes come
+    first, then cuts, each in the order they were added.  The master step needs the rows' inner products,
+    the two k x k Grams
+
+        GM[i, j] = B_i . B_j = 4 sum_k s_ik s_jk (V_i[:, k] . V_j[:, k])
+        GN[i, j] = sum_k (V_i[:, k] . V_j[:, k])^2
+
+    grown by one row and column per new row in O(k d a), and carries
+    its iterate as coefficients (cM, cN) over the rows: the iterate's
+    M[:, active] is sum_j cM_j B_j and its N_k is
+    sum_j cN_j V_j[:, k] V_j[:, k]'.
+    ``const`` holds A0 for a plane (value A0 - row . x) and C0 for a cut
+    (value C0 + row . x >= 0).
     """
-    coef_m = 2.0 * V * s[None, :]
-    coef_n = np.einsum("rk,sk->krs", V, V)
-    return np.concatenate([coef_m.ravel(), coef_n.ravel()])
+
+    def __init__(self, d, a):
+        self.planes = 0
+        self.const = np.zeros(0)
+        self.B = np.zeros((0, d * a))
+        self.V = np.zeros((0, d, a))
+        self.GM = np.zeros((0, 0))
+        self.GN = np.zeros((0, 0))
+        self.cM = np.zeros(0)
+        self.cN = np.zeros(0)
+
+    def add(self, const, s, V, cut):
+        """Append a plane after the planes, or a cut after the cuts."""
+        i = self.const.size if cut else self.planes
+        self.planes += not cut
+        B = (2.0 * V * s).ravel()
+
+        def insert(A, row):
+            return np.concatenate([A[:i], [row], A[i:]])
+
+        self.const = insert(self.const, const)
+        self.B = insert(self.B, B)
+        self.V = insert(self.V, V)
+        self.cM = insert(self.cM, 0.0)
+        self.cN = insert(self.cN, 0.0)
+        VV = np.einsum("jrk,rk->jk", self.V, V)
+        self.GM = _grow(self.GM, i, self.B @ B)
+        self.GN = _grow(self.GN, i, (VV * VV).sum(axis=1))
+
+    def iterate(self, gamma):
+        """The iterate's (M[:, active], N[active]), radially inside both balls.
+
+        The master tracks the balls' norms by updates that drift by
+        about 1e-13, so the rebuilt blocks are projected here with their
+        exact norms, and the coefficients scaled along.
+        """
+        Ma = (self.cM @ self.B).reshape(self.V.shape[1:])
+        Vt = self.V.transpose(2, 1, 0)  # Vt[k]'s columns: the rows' V_j[:, k]
+        Ns = (Vt * self.cN) @ Vt.transpose(0, 2, 1)
+        fM = _into_ball(Ma, gamma)
+        fN = _into_ball(Ns, gamma * gamma)
+        self.cM *= fM
+        self.cN *= fN
+        return Ma * fM, Ns * fN
 
 
-def _master(x0, A0, CA, C0, CC, gamma, inner_steps, eps, dM):
+def _grow(G, i, g):
+    """Insert row and column i, holding g, into the symmetric matrix G."""
+    H = np.empty((g.size, g.size))
+    H[:i, :i], H[:i, i + 1 :] = G[:i, :i], G[:i, i:]
+    H[i + 1 :, :i], H[i + 1 :, i + 1 :] = G[i:, :i], G[i:, i:]
+    H[i] = g
+    H[:, i] = g
+    return H
+
+
+def _into_ball(A, radius):
+    """Factor f <= 1 with ||f A||_F <= radius, exactly in floating point."""
+    nrm = float(np.linalg.norm(A))
+    if nrm <= radius:
+        return 1.0
+    f = radius / nrm
+    while np.linalg.norm(f * A) > radius:
+        f = float(np.nextafter(f, 0.0))
+    return f
+
+
+def _master(rows, gamma, inner_steps, eps):
     """Minimize the active-set maximum over the budget balls.
 
-    The variable x stacks the active columns of M and the active slices
-    of N, so every active objective is the affine A0 - CA x and every
-    cut the affine C0 + CC x >= 0.  Cut violations are repaired by exact
-    projection onto the violated halfspace; objective steps follow the
-    subgradient of the current maximizer with a c/sqrt(t) schedule, c
-    calibrated to the first subgradient so the initial step is on the
-    budget's scale; the two Frobenius balls are enforced by radial
-    scaling.  Returns the best cut-feasible iterate and its value.
+    The iterate x is sum_j (cM_j row_j^M + cN_j row_j^N) over the _Rows
+    ``rows``, starting from its coefficients: every plane is the affine
+    objective A0 - row . x and every cut the affine constraint
+    C0 + row . x >= 0.  Cut violations are repaired by exact projection
+    onto the violated halfspace; objective steps follow the subgradient
+    of the current maximizer with a c/sqrt(t) schedule, c calibrated to
+    the first subgradient so the initial step is on the budget's scale;
+    the two Frobenius balls (M block, N block) are enforced by radial
+    scaling.  Returns the best cut-feasible iterate's coefficients
+    (cM, cN) and its value.
+
+    Every step moves x along one row, so the loop works on the products
+    P = G c of the rows with the iterate, in O(k) per step for k rows:
+    a step updates P by one column of each Gram, and the squared norms
+    of the two blocks by the matching scalar terms.  Each ball's radial
+    scaling is a lazy per-block scale (the stored coefficients and
+    products are the true ones divided by it), folded back before it
+    can underflow: a small budget shrinks the N scale by about gamma on
+    every step.
     """
-    x = x0.copy()
-    gamma2 = gamma * gamma
+    GM, GN, cM, cN = rows.GM, rows.GN, rows.cM, rows.cN
+    npl, k = rows.planes, GM.shape[0]
+    have_cuts = k > npl
+    rM = gamma * gamma  # squared radii of the two balls
+    rN = rM * rM
+    dM = np.diag(GM).tolist()
+    dN = np.diag(GN).tolist()
+    # G[j] stacks a zero row over row j of each Gram, so that a step of
+    # length tau along row j adds D G[j] to P, D = diag(0, tau/sM, tau/sN)
+    G = np.zeros((k, 3, k))
+    G[:, 1] = GM
+    G[:, 2] = GN
+    c = np.stack([cM, cN])
+    # row 0 holds the constants, the cuts' negated, so that u = w . P
+    # is the planes' values, then the cuts' values negated, with
+    # w = (1, -sM, -sN) the lazy scales
+    const = np.concatenate([rows.const[:npl], -rows.const[npl:]])
+    P = np.stack([const, GM @ cM, GN @ cN])
+    w = np.array([1.0, -1.0, -1.0])
+    D = np.zeros((3, 3))
+    sM = sN = 1.0
+    qM = float(cM @ P[1])
+    qN = float(cN @ P[2])
     best_val = np.inf
-    best_x = x.copy()
+    best = (c.copy(), 1.0, 1.0)
     step_scale = None
-    have_cuts = C0.size > 0
 
     for t in range(1, inner_steps + 1):
+        u = w.dot(P)
         viol = 0.0
         if have_cuts:
-            cvals = C0 + CC @ x
-            worst = int(np.argmin(cvals))
-            viol = float(cvals[worst])
+            j = npl + int(u[npl:].argmax())
+            viol = -float(u[j])
 
         if viol < -eps:
-            g = CC[worst]
-            gsq = float(g @ g)
-            if gsq > 0.0:
-                x = x + (-viol / gsq) * g
+            gsq = dM[j] + dN[j]
+            tau = -viol / gsq if gsq > 0.0 else 0.0
         else:
-            phi = A0 - CA @ x
-            top = int(np.argmax(phi))
-            val = float(phi[top])
+            j = int(u[:npl].argmax())
+            val = float(u[j])
             if val < best_val:
                 best_val = val
-                best_x = x.copy()
-            g = CA[top]
-            gnorm = float(np.sqrt(g @ g))
+                best = (c.copy(), sM, sN)
+            gnorm = math.sqrt(dM[j] + dN[j])
             if gnorm <= 1e-14:
                 break  # objective is flat in (M, N); nothing to move
             if step_scale is None:
@@ -209,16 +318,34 @@ def _master(x0, A0, CA, C0, CC, gamma, inner_steps, eps, dM):
             # decreasing the maximum means increasing the quadratic term;
             # the step length is taken along the normalized direction so
             # flat objectives still traverse the ball
-            x = x + (step_scale / (np.sqrt(t) * gnorm)) * g
+            tau = step_scale / (math.sqrt(t) * gnorm)
 
-        nm = float(np.linalg.norm(x[:dM]))
-        if nm > gamma:
-            x[:dM] *= gamma / nm
-        nn = float(np.linalg.norm(x[dM:]))
-        if nn > gamma2:
-            x[dM:] *= gamma2 / nn
+        if tau != 0.0:
+            qM += tau * (2.0 * sM * P[1, j] + tau * dM[j])
+            qN += tau * (2.0 * sN * P[2, j] + tau * dN[j])
+            D[1, 1] = tau / sM
+            D[2, 2] = tau / sN
+            c[0, j] += D[1, 1]
+            c[1, j] += D[2, 2]
+            P += D.dot(G[j])
 
-    return best_x, best_val
+        if qM > rM:
+            sM *= math.sqrt(rM / qM)
+            qM = rM
+            w[1] = -sM
+        if qN > rN:
+            sN *= math.sqrt(rN / qN)
+            qN = rN
+            w[2] = -sN
+        if sM < 1e-60 or sN < 1e-60:
+            fold = np.array([[sM], [sN]])
+            c *= fold
+            P[1:] *= fold
+            sM = sN = 1.0
+            w[1:] = -1.0
+
+    c, sM, sN = best
+    return c[0] * sM, c[1] * sN, best_val
 
 
 def _polish(X, Zba, active, y, mlam, Ma0, gamma, tol, max_steps=80):
@@ -280,8 +407,10 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
     Gram matrix is positive semidefinite).  Alternates ridge solves,
     master re-minimization, and eigenvector cuts until the relative
     gap between the best feasible objective and the master value drops
-    below config.tol.  Hitting the iteration cap with a gap above ten
-    times the tolerance flags the result as non-converged.
+    below config.tol.  Diagnostics.converged is True only when that
+    test fired; a run that stops at config.max_outer reports False,
+    whatever its last gap.  (The master value is the model's value at
+    an approximate minimizer, so it is not a certified lower bound.)
     """
     cfg = config or SolverConfig()
     X, Z, y = train.X, train.Z, train.y
@@ -314,11 +443,8 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
 
     Zba = Zb[:, active]
     Qb, Rb = range_basis(X, Zb, active)
-
-    dM = d * a  # split point between the M and N blocks of the flat variable
-    x = np.zeros(dM + a * d * d)
-    A0l, CAl = [], []
-    C0l, CCl = [], []
+    rows = _Rows(d, a)
+    Ma, Ns = np.zeros((d, a)), np.zeros((a, d, d))
 
     upper_best = np.inf
     incumbent = None
@@ -329,8 +455,6 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
 
     for it in range(1, cfg.max_outer + 1):
         it_done = it
-        Ma = x[:dM].reshape(d, a)
-        Ns = x[dM:].reshape(a, d, d)
         T = relaxed_core(Rb, _scatter(Ma, active, d), Ns, active)
         lam_min, vmin, w, U = min_eigpair(T, Qb)
         # None: kernel too indefinite for the shift; the cut below repairs it
@@ -341,18 +465,15 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
                 f_cur = float(y @ alpha)
                 if f_cur < upper_best:
                     upper_best = f_cur
-                    incumbent = (x.copy(), alpha)
+                    incumbent = (Ma, Ns, alpha)
         else:
             c0, s, V = quad_factors(X, Zb, vmin)
-            C0l.append(c0)
-            CCl.append(_flat_row(s[active], V[:, active]))
+            rows.add(c0, s[active], V[:, active], cut=True)
 
         if alpha is not None:
             _, s, V = quad_factors(X, Zb, alpha)
-            A0l.append(
-                2.0 * float(alpha @ y) - mlam * float(alpha @ alpha) - float(s @ s)
-            )
-            CAl.append(_flat_row(s[active], V[:, active]))
+            a0 = 2.0 * float(alpha @ y) - mlam * float(alpha @ alpha) - float(s @ s)
+            rows.add(a0, s[active], V[:, active], cut=False)
 
         if np.isfinite(upper_best) and np.isfinite(lower):
             gap = upper_best - lower
@@ -360,29 +481,15 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
                 converged = True
                 break
 
-        if not A0l:
+        if not rows.planes:
             continue  # nothing to model yet; keep cutting
-        x, lower = _master(
-            x,
-            np.asarray(A0l),
-            np.asarray(CAl),
-            np.asarray(C0l),
-            np.asarray(CCl) if CCl else np.zeros((0, x.size)),
-            hp.gamma,
-            cfg.inner_steps,
-            cfg.eps_psd,
-            dM,
-        )
-
-    if not converged and np.isfinite(gap):
-        converged = gap <= 10.0 * cfg.tol * max(abs(upper_best), 1e-12)
+        rows.cM, rows.cN, lower = _master(rows, hp.gamma, cfg.inner_steps, cfg.eps_psd)
+        Ma, Ns = rows.iterate(hp.gamma)
 
     if incumbent is None:
         # should not happen: the zero start is feasible
         raise RuntimeError("no feasible iterate found")
-    x_b, alpha_b = incumbent
-    Ma_b = x_b[:dM].reshape(d, a)
-    Ns_b = x_b[dM:].reshape(a, d, d)
+    Ma_b, Ns_b, alpha_b = incumbent
 
     # Final polish: descend the exact objective from the incumbent's map.
     # The lift of any in-budget M is feasible for the relaxation, so the
@@ -406,7 +513,7 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
     diag = Diagnostics(
         iterations=it_done,
         gap=float(max(gap, 0.0)) if np.isfinite(gap) else float("inf"),
-        cuts=len(C0l),
+        cuts=rows.const.size - rows.planes,
         objective=float(upper_best),
         converged=converged,
     )

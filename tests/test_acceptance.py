@@ -30,13 +30,14 @@ from imputed_ridge.kernel import LiftedTensor, build_km, build_kmn, lift, quad_f
 from imputed_ridge.solver import (
     Hyperparams,
     SolverConfig,
-    _flat_row,
+    _Rows,
     predict_batch,
     solve_irr,
 )
 from imputed_ridge.theory import BoundInputs, empirical_rademacher, rademacher_bound
 
 from conftest import random_corrupted
+from master_reference import assert_rows_match, flat_row
 
 
 def _data_file(name):
@@ -132,10 +133,12 @@ def test_criterion_03_gradient_check():
 
     Relative error below 1e-4 on 50 random instances, under 30 s.  The
     map is affine, so the gradient is checked at a random base point.
-    The analytic side is the coefficient row the solver's master step
-    uses (quad_factors, then _flat_row on the flat variable
-    [vec(M[:, active]), vec(N[active])]); columns of M and slices of N
-    for features with no masked entry must have zero differences.
+    The analytic side is the (s, V) form the solver's master step uses:
+    quad_factors' pair on the active features, with gradient
+    2 s_k V[:, k] in M[:, k] and V[:, k] V[:, k]' in N_k (flat_row
+    builds it here).  Columns of M and slices of N for features with no
+    masked entry must have zero differences, and the master's Grams and
+    rebuilt iterate (solver._Rows) must be those of these rows.
     """
     rng = np.random.default_rng(11)
     h = 1e-6
@@ -148,9 +151,14 @@ def test_criterion_03_gradient_check():
         Zb = 1.0 - ds.Z
         active = np.flatnonzero(Zb.any(axis=0))
         inactive = np.flatnonzero(~Zb.any(axis=0))
-        alpha = rng.standard_normal(m)
-        _, s, V = quad_factors(ds.X, Zb, alpha)
-        row = _flat_row(s[active], V[:, active])
+        alphas = rng.standard_normal((2, m))
+        rows = _Rows(d, active.size)
+        flats = []
+        for alpha in alphas:
+            _, s, V = quad_factors(ds.X, Zb, alpha)
+            rows.add(0.0, s[active], V[:, active], cut=False)
+            flats.append(flat_row(s[active], V[:, active]))
+        alpha, row = alphas[0], flats[0]
 
         M0 = rng.standard_normal((d, d)) * 0.4
         N0 = rng.standard_normal((d, d, d)) * 0.4
@@ -181,6 +189,7 @@ def test_criterion_03_gradient_check():
         fd = np.concatenate([fd_M[:, active].ravel(), fd_N[active].ravel()])
         rel = np.linalg.norm(fd - row) / max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, float(rel))
+        assert_rows_match(rows, flats, d * active.size, rng)
     elapsed = time.perf_counter() - t0
     print(f"criterion 3: worst relative error {worst:.3e}, {elapsed:.1f}s")
     assert worst < 1e-4

@@ -14,8 +14,9 @@ from imputed_ridge import (
     solve_irr,
 )
 from imputed_ridge.kernel import _basis, quad_factors, relaxed_apply
-from imputed_ridge.solver import _flat_row
+from imputed_ridge.solver import _Rows
 from tests.conftest import random_corrupted
+from tests.master_reference import assert_rows_match, flat_row
 
 
 def random_lifted(rng, d, scale=0.5):
@@ -135,10 +136,13 @@ def test_quad_factors_reproduce_quadratic(rng):
 def test_gradient_matches_finite_differences(rng):
     """Central differences on alpha' K alpha, entry by entry.
 
-    The analytic side is the row the solver's master step uses:
-    _flat_row of quad_factors, on the flat variable
-    [vec(M[:, active]), vec(N[active])].  Columns of M and slices of N
-    for features with no masked entry do not enter K at all.
+    The analytic side is the (s, V) form the master step uses:
+    quad_factors' pair on the active features gives the gradient
+    2 s_k V[:, k] in M[:, k] and V[:, k] V[:, k]' in N_k (flat_row
+    builds it here).  Columns of M and slices of N for features with no
+    masked entry do not enter K at all.  The Grams solver._Rows keeps
+    for these rows, and the iterate it rebuilds, must be those of
+    exactly these rows.
     """
     h = 1e-6
     for _ in range(10):
@@ -148,9 +152,14 @@ def test_gradient_matches_finite_differences(rng):
         Zb = 1.0 - ds.Z
         active = np.flatnonzero(Zb.any(axis=0))
         inactive = np.flatnonzero(~Zb.any(axis=0))
-        alpha = rng.standard_normal(m)
-        _, s, V = quad_factors(ds.X, Zb, alpha)
-        row = _flat_row(s[active], V[:, active])
+        alphas = rng.standard_normal((3, m))
+        rows = _Rows(d, active.size)
+        flats = []
+        for alpha in alphas:
+            _, s, V = quad_factors(ds.X, Zb, alpha)
+            rows.add(0.0, s[active], V[:, active], cut=False)
+            flats.append(flat_row(s[active], V[:, active]))
+        alpha, row = alphas[0], flats[0]
 
         def f(M, slices):
             N = LiftedTensor(slices, float(np.sqrt((slices**2).sum())) + 1e-9)
@@ -181,6 +190,7 @@ def test_gradient_matches_finite_differences(rng):
                        (fd_N[active].ravel(), row[dM:])):
             rel = np.linalg.norm(fd - an) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-4
+        assert_rows_match(rows, flats, dM, rng)
 
 
 def test_min_eigpair_indefinite_agrees(rng):

@@ -23,8 +23,9 @@ from imputed_ridge import (
     save_solution,
     solve_irr,
 )
-from imputed_ridge.solver import _core_solve, _primal_alpha
+from imputed_ridge.solver import _core_solve, _master, _primal_alpha, _Rows
 from tests.conftest import random_corrupted
+from tests.master_reference import flat_master, flat_row
 
 STRONG = SolverConfig(tol=1e-6, max_outer=60, inner_steps=1500)
 
@@ -267,6 +268,123 @@ def test_factored_path_matches_dense():
             assert np.linalg.norm(primal - exact) <= 1e-9 * np.linalg.norm(exact)
     assert ranks[0] < 200 and ranks[1] == 60 and ranks[2] == 0
     assert indefinite_solved >= 2 and refused >= 2
+
+
+def _recorded_rows(monkeypatch, ds, hp):
+    """(const, s, V, cut) of every row a solve adds to its model, in order."""
+    added = []
+    add = _Rows.add
+
+    def record(self, const, s, V, cut):
+        added.append((const, s, V, cut))
+        add(self, const, s, V, cut)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(_Rows, "add", record)
+        solve_irr(ds, hp)
+    return added
+
+
+class _BothMasters:
+    """The plane-coordinate master and the flat reference on the same rows."""
+
+    def __init__(self, d, a, gamma):
+        self.rows = _Rows(d, a)
+        self.dM = d * a
+        self.gamma = gamma
+        self.planes, self.cuts = [], []
+        self.x = np.zeros(self.dM + a * d * d)
+
+    def add(self, const, s, V, cut):
+        self.rows.add(const, s, V, cut)
+        (self.cuts if cut else self.planes).append((const, flat_row(s, V)))
+
+    def run(self):
+        """Both masters from the current iterate; returns new and reference.
+
+        The new side is (M[:, active], N[active], value) as solve_irr
+        rebuilds it, the reference its flat x split the same way.
+        """
+        rows, dM, gamma = self.rows, self.dM, self.gamma
+        rows.cM, rows.cN, val = _master(rows, gamma, 500, 1e-7)
+        Ma, Ns = rows.iterate(gamma)
+        A0 = np.array([c for c, _ in self.planes])
+        CA = np.array([r for _, r in self.planes])
+        C0 = np.array([c for c, _ in self.cuts])
+        CC = np.array([r for _, r in self.cuts]).reshape(len(self.cuts), self.x.size)
+        self.x, ref_val = flat_master(self.x, A0, CA, C0, CC, gamma, 500, 1e-7, dM)
+        return (Ma.ravel(), Ns.ravel(), val), (self.x[:dM], self.x[dM:], ref_val)
+
+    def cut_values(self, xM, xN):
+        return np.array([c + r @ np.concatenate([xM, xN]) for c, r in self.cuts])
+
+
+def _assert_same_master(new, ref, gamma):
+    Ma, Ns, val = new
+    for got, want in zip(new, ref):
+        scale = max(np.linalg.norm(want), 1e-300)
+        assert np.linalg.norm(np.subtract(got, want)) <= 1e-10 * scale
+    assert np.isfinite(val)
+    assert np.linalg.norm(Ma) <= gamma  # inside both balls, no slack
+    assert np.linalg.norm(Ns) <= gamma * gamma
+
+
+@pytest.mark.parametrize(
+    "case, m, d, lam, gamma",
+    [
+        ("planes", 40, 5, 2.0**-5, 1.0),
+        ("planes+cuts", 40, 5, 2.0**-5, 1.0),
+        ("small budget", 60, 4, 2.0**-4, 2.0**-7),
+    ],
+)
+def test_master_matches_flat_reference(monkeypatch, case, m, d, lam, gamma):
+    """The master in plane coordinates against the flat-variable loop.
+
+    Seeded inputs: the rows a solve adds, planes only or planes and
+    cuts.  At gamma = 2^-7 the N ball shrinks the iterate by about
+    gamma on every one of the 500 steps, far below the smallest double,
+    so the plane-coordinate loop must fold its lazy scale back in time.
+    Both masters run from zero on the first half of the rows and again,
+    warm, after the rest are added.
+    """
+    ds = random_corrupted(np.random.default_rng(1), m, d)
+    added = _recorded_rows(monkeypatch, ds, Hyperparams(lam, gamma))
+    if case == "planes":
+        added = [row for row in added if not row[3]]
+    a = added[0][1].size
+    both = _BothMasters(d, a, gamma)
+    half = max(1, len(added) // 2)
+    for i, row in enumerate(added):
+        both.add(*row)
+        if i + 1 in (half, len(added)) and both.planes:
+            new, ref = both.run()
+            _assert_same_master(new, ref, gamma)
+    assert (len(both.cuts) > 0) == (case != "planes")
+    if case == "planes+cuts":
+        # the cuts bind: without them the master ends outside one
+        free = _BothMasters(d, a, gamma)
+        for row in added:
+            if not row[3]:
+                free.add(*row)
+        (xM, xN, _), _ = free.run()
+        assert both.cut_values(xM, xN).min() < -1e-7
+
+
+def test_capped_run_reports_not_converged():
+    """Diagnostics.converged is the tol test, not a gap within slack.
+
+    Capped one iteration before it converges, the run's gap is already
+    within ten times the tolerance, which once counted as converged.
+    """
+    ds = random_corrupted(np.random.default_rng(0), 30, 4)
+    hp = Hyperparams(2.0**-3, 1.0)
+    full = solve_irr(ds, hp).diagnostics
+    assert full.converged
+    cfg = SolverConfig(max_outer=full.iterations - 1)
+    capped = solve_irr(ds, hp, cfg).diagnostics
+    assert capped.iterations == cfg.max_outer
+    assert cfg.tol < capped.gap / abs(capped.objective) <= 10.0 * cfg.tol
+    assert not capped.converged
 
 
 def test_solve_allocates_no_m_by_m_matrix():
