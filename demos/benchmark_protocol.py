@@ -5,9 +5,9 @@ Writes a small regression CSV, runs the seeded trial protocol
 (calibrate the deletion rate, corrupt train and test folds, tune each
 method on a log2 grid, score RMSE), and prints the report plus the
 derived capacity numbers.  The same spec run twice must reproduce the
-numbers exactly; the script checks that too.
+numbers exactly; the script checks that too and exits nonzero if not.
 
-Takes roughly half a minute.
+Takes about fifteen seconds.
 """
 
 import json
@@ -38,7 +38,11 @@ def write_table(path, m=320, d=5, seed=2):
 
 
 def main():
-    workdir = Path(tempfile.mkdtemp(prefix="irr-demo-"))
+    with tempfile.TemporaryDirectory(prefix="irr-demo-") as tmp:
+        run(Path(tmp))
+
+
+def run(workdir):
     csv = workdir / "synthetic.csv"
     write_table(csv)
 
@@ -75,7 +79,10 @@ def main():
     again = run_experiment(spec)
     a, b = report.to_obj(), again.to_obj()
     a.pop("runtime_seconds"), b.pop("runtime_seconds")
-    print(f"rerun reproduces the report exactly: {json.dumps(a) == json.dumps(b)}")
+    same = json.dumps(a) == json.dumps(b)
+    print(f"rerun reproduces the report exactly: {same}")
+    if not same:
+        raise SystemExit("the rerun changed the report")
 
 
 if __name__ == "__main__":

@@ -9,11 +9,9 @@ round out the package.
 from .dataset import (
     CsvFormatError,
     Dataset,
-    DatasetStats,
     load_csv,
     normalize,
     split,
-    stats,
 )
 from .corruption import (
     CorruptionKind,
@@ -46,11 +44,9 @@ from .solver import (
     Hyperparams,
     IrrSolution,
     SolverConfig,
-    load_solution,
     predict_batch,
     ridge_weights,
     rmse,
-    save_solution,
     solve_irr,
 )
 from .theory import (

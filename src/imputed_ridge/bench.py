@@ -23,7 +23,7 @@ import numpy as np
 
 from . import corruption as corr
 from .corruption import CorruptionKind, CorruptionSpec, calibrate_beta
-from .dataset import Dataset, load_csv, normalize, split, stats
+from .dataset import Dataset, load_csv, normalize, split
 from .imputation import apply_baseline_matrix, fit_independent, fit_mean, fit_zero
 from .solver import Hyperparams, SolverConfig, predict_batch, ridge_weights, solve_irr
 from .theory import BoundInputs, generalization_gap, rademacher_bound
@@ -107,19 +107,14 @@ class MethodResult:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    dataset_path: str
+    """Results of one run of ``spec``, the spec the protocol actually ran."""
+
+    spec: ExperimentSpec
     n_rows: int
     n_features: int
-    corruption: object
     beta: float | None
-    target_fraction: float | None
     fraction_mean: float
     fraction_std: float
-    train_size: int
-    trials: int
-    master_seed: int
-    grid: tuple
-    irr_grid_mode: str
     methods: dict
     notes: tuple
     cells_scored: int
@@ -128,29 +123,33 @@ class ExperimentReport:
     runtime_seconds: float
 
     def to_obj(self):
-        if isinstance(self.corruption, CorruptionSpec):
+        spec, corruption = self.spec, self.spec.corruption
+        if isinstance(corruption, CorruptionSpec):
             cobj = {
-                "kind": self.corruption.kind.value,
-                "beta": self.corruption.beta,
-                "seed": self.corruption.seed,
+                "kind": corruption.kind.value,
+                "beta": corruption.beta,
+                "seed": corruption.seed,
             }
-            if self.corruption.kind is CorruptionKind.COLUMN_BLOCK:
-                cobj["block_size"] = self.corruption.block_size
-                cobj["eligible_blocks"] = list(self.corruption.eligible_blocks)
+            if corruption.kind is CorruptionKind.COLUMN_BLOCK:
+                cobj["block_size"] = corruption.block_size
+                cobj["eligible_blocks"] = list(corruption.eligible_blocks)
         else:
             cobj = "native"
         return {
-            "dataset": self.dataset_path,
+            "dataset": str(spec.dataset_path),
             "n_rows": self.n_rows,
             "n_features": self.n_features,
             "corruption": cobj,
             "beta": self.beta,
-            "target_fraction": self.target_fraction,
+            "target_fraction": spec.target_fraction,
             "fraction_remaining": {"mean": self.fraction_mean, "std": self.fraction_std},
-            "train_size": self.train_size,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "grid": {"exponents": list(self.grid), "irr_mode": self.irr_grid_mode},
+            "train_size": spec.train_size,
+            "trials": spec.trials,
+            "master_seed": spec.master_seed,
+            "grid": {
+                "exponents": list(spec.grid),
+                "irr_mode": "full" if spec.full_grid else "pruned",
+            },
             "methods": {k: v.to_obj() for k, v in self.methods.items()},
             "notes": list(self.notes),
             "cells": {"scored": self.cells_scored, "flagged": self.cells_flagged},
@@ -182,15 +181,15 @@ def _prepare_trials(ds, spec, beta):
     for t in range(spec.trials):
         tr, te = split(ds, spec.train_size, derive_seed(spec.master_seed, t, _SPLIT))
         if spec.corruption == "native":
-            out.append(_Trial(tr, te, tr, te, stats(tr).fraction_remaining))
-            continue
-        tr_c = _corrupt_fold(
-            tr, spec.corruption, beta, derive_seed(spec.master_seed, t, _TRAIN_MASK)
-        )
-        te_c = _corrupt_fold(
-            te, spec.corruption, beta, derive_seed(spec.master_seed, t, _TEST_MASK)
-        )
-        out.append(_Trial(tr, te, tr_c, te_c, stats(tr_c).fraction_remaining))
+            tr_c, te_c = tr, te
+        else:
+            tr_c = _corrupt_fold(
+                tr, spec.corruption, beta, derive_seed(spec.master_seed, t, _TRAIN_MASK)
+            )
+            te_c = _corrupt_fold(
+                te, spec.corruption, beta, derive_seed(spec.master_seed, t, _TEST_MASK)
+            )
+        out.append(_Trial(tr, te, tr_c, te_c, float(tr_c.Z.sum() / tr_c.Z.size)))
     return out
 
 
@@ -390,19 +389,12 @@ def _run_on_dataset(spec: ExperimentSpec, ds: Dataset) -> ExperimentReport:
             notes.append("bounds skipped: irr not among the methods")
 
     return ExperimentReport(
-        dataset_path=str(spec.dataset_path),
+        spec=spec,
         n_rows=ds.m,
         n_features=ds.d,
-        corruption=spec.corruption,
         beta=beta,
-        target_fraction=spec.target_fraction,
         fraction_mean=float(np.mean(fractions)),
         fraction_std=_std(fractions),
-        train_size=spec.train_size,
-        trials=spec.trials,
-        master_seed=spec.master_seed,
-        grid=spec.grid,
-        irr_grid_mode="full" if spec.full_grid else "pruned",
         methods=methods,
         notes=tuple(notes),
         cells_scored=cells_scored,
@@ -448,7 +440,7 @@ def run_onevsall(spec: ExperimentSpec, digit: int) -> ExperimentReport:
         raise ValueError(f"every row is digit {digit}; labels would be all +1")
 
     ds = normalize(raw)
-    ds = replace(ds, y=np.where(hit, 1.0, -1.0), label_range=None)
+    ds = replace(ds, y=np.where(hit, 1.0, -1.0))
 
     if (
         isinstance(spec.corruption, CorruptionSpec)
@@ -485,13 +477,10 @@ def write_report_tsv(report: ExperimentReport, path):
     """One-row table of mean RMSE with std per method."""
     header = ["dataset", "corruption", "fraction"]
     header += [label for _, label in _TSV_COLUMNS]
-    kind = (
-        report.corruption.kind.value
-        if isinstance(report.corruption, CorruptionSpec)
-        else "native"
-    )
+    corruption = report.spec.corruption
+    kind = corruption.kind.value if isinstance(corruption, CorruptionSpec) else "native"
     row = [
-        report.dataset_path,
+        str(report.spec.dataset_path),
         kind,
         f"{report.fraction_mean:.3f}±{report.fraction_std:.3f}",
     ]

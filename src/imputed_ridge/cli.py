@@ -100,7 +100,7 @@ def _spec_from_args(args) -> ExperimentSpec:
 
 def _print_report(report):
     frac = f"{report.fraction_mean:.3f}±{report.fraction_std:.3f}"
-    print(f"{report.dataset_path}: fraction remaining {frac}")
+    print(f"{report.spec.dataset_path}: fraction remaining {frac}")
     for name, res in report.methods.items():
         hp = f"lambda={res.best_lambda:g}"
         if res.best_gamma is not None:

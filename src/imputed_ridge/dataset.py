@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,15 +31,11 @@ class Dataset:
     X: (m, d) feature matrix, zeros at masked entries.
     Z: (m, d) observation mask in {0, 1}.
     y: (m,) labels.
-    feature_ranges: (d, 2) per-feature (min, max) recorded by normalize,
-        or None for raw data.  label_range likewise for labels.
     """
 
     X: np.ndarray
     Z: np.ndarray
     y: np.ndarray
-    feature_ranges: np.ndarray | None = None
-    label_range: tuple[float, float] | None = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -66,13 +62,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-
-@dataclass(frozen=True)
-class DatasetStats:
-    m: int
-    d: int
-    fraction_remaining: float
 
 
 def _parse_cell(text, row, col):
@@ -152,8 +141,7 @@ def normalize(ds: Dataset) -> Dataset:
 
     Per-feature ranges are computed over observed entries only; masked
     entries stay zero.  Constant features map to zero with a warning.
-    The original ranges are recorded on the result so values could be
-    mapped back.  Every feature must be observed at least once.
+    Every feature must be observed at least once.
     """
     X, Z, y = ds.X, ds.Z, ds.y
     counts = Z.sum(axis=0)
@@ -182,9 +170,7 @@ def normalize(ds: Dataset) -> Dataset:
         yn = np.zeros_like(y)
     else:
         yn = (y - y_lo) / (y_hi - y_lo)
-
-    ranges = np.column_stack([lo, hi])
-    return Dataset(Xn, Z.copy(), yn, feature_ranges=ranges, label_range=(y_lo, y_hi))
+    return Dataset(Xn, Z.copy(), yn)
 
 
 def split(ds: Dataset, train_size: int, seed: int) -> tuple[Dataset, Dataset]:
@@ -193,13 +179,4 @@ def split(ds: Dataset, train_size: int, seed: int) -> tuple[Dataset, Dataset]:
         raise ValueError(f"train_size must be in (0, {ds.m}), got {train_size}")
     perm = np.random.default_rng(seed).permutation(ds.m)
     tr, te = perm[:train_size], perm[train_size:]
-    pick = lambda idx: replace(
-        ds, X=ds.X[idx].copy(), Z=ds.Z[idx].copy(), y=ds.y[idx].copy()
-    )
-    return pick(tr), pick(te)
-
-
-def stats(ds: Dataset) -> DatasetStats:
-    """Sample count, dimension, and the fraction of entries still observed."""
-    frac = float(ds.Z.sum() / ds.Z.size)
-    return DatasetStats(m=ds.m, d=ds.d, fraction_remaining=frac)
+    return Dataset(ds.X[tr], ds.Z[tr], ds.y[tr]), Dataset(ds.X[te], ds.Z[te], ds.y[te])

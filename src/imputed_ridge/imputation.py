@@ -20,8 +20,6 @@ import numpy as np
 
 from .dataset import Dataset
 
-FEASIBILITY_SLACK = 1e-9
-
 
 class BaselineKind(Enum):
     ZERO = "zero"

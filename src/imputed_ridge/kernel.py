@@ -44,7 +44,9 @@ import numpy as np
 import scipy.linalg
 
 from .dataset import Dataset
-from .imputation import FEASIBILITY_SLACK, impute_dataset
+from .imputation import impute_dataset
+
+FEASIBILITY_SLACK = 1e-9
 
 
 @dataclass(frozen=True)

@@ -75,10 +75,10 @@ class Hyperparams:
     gamma: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ class IrrSolution:
     """Trained model: dual weights, imputation map, lifted slices.
 
     ``train`` is kept because the dual predictor evaluates against the
-    training rows; serialization strips it (see save_solution).
+    training rows.
     """
 
     alpha: np.ndarray
@@ -489,26 +489,19 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
     if incumbent is None:
         # should not happen: the zero start is feasible
         raise RuntimeError("no feasible iterate found")
-    Ma_b, Ns_b, alpha_b = incumbent
+    Ma, Ns, alpha = incumbent
 
     # Final polish: descend the exact objective from the incumbent's map.
     # The lift of any in-budget M is feasible for the relaxation, so the
     # polished point is adopted only when it strictly improves.
     Ma_p, obj_p, alpha_p = _polish(
-        X, Zba, active, y, mlam, Ma_b, hp.gamma, cfg.tol
+        X, Zba, active, y, mlam, Ma, hp.gamma, cfg.tol
     )
     if obj_p < upper_best:
         upper_best = obj_p
-        M_fin = _scatter(Ma_p, active, d)
-        N_fin = lift(M_fin)
-        N_fin = LiftedTensor(N_fin.slices, hp.gamma**2)
-        alpha_fin = alpha_p
-    else:
-        alpha_fin = alpha_b
-        M_fin = _scatter(Ma_b, active, d)
-        N_full = np.zeros((d, d, d))
-        N_full[active] = Ns_b
-        N_fin = LiftedTensor(N_full, hp.gamma**2)
+        Ma, Ns, alpha = Ma_p, lift(Ma_p).slices, alpha_p
+    N = np.zeros((d, d, d))
+    N[active] = Ns
 
     diag = Diagnostics(
         iterations=it_done,
@@ -518,9 +511,9 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
         converged=converged,
     )
     return IrrSolution(
-        alpha=alpha_fin,
-        M=M_fin,
-        N=N_fin,
+        alpha=alpha,
+        M=_scatter(Ma, active, d),
+        N=LiftedTensor(N, hp.gamma**2),
         train=train,
         hp=hp,
         diagnostics=diag,
@@ -582,63 +575,3 @@ def rmse(sol: IrrSolution, test: Dataset) -> float:
     resid = test.y - predict_batch(sol, test)
     return float(np.sqrt((resid @ resid) / test.m))
 
-
-def save_solution(sol: IrrSolution, path):
-    """Write a solution to JSON: weights, maps, hyperparameters,
-    diagnostics.  Training data is not stored; reattach it on load."""
-    gap = sol.diagnostics.gap
-    obj = {
-        "alpha": sol.alpha.tolist(),
-        "M": {
-            "rows": sol.M.shape[0],
-            "cols": sol.M.shape[1],
-            "data": sol.M.ravel().tolist(),
-        },
-        "N": {
-            "slices": sol.N.slices.shape[0],
-            "rows": sol.N.slices.shape[1],
-            "cols": sol.N.slices.shape[2],
-            "data": sol.N.slices.ravel().tolist(),
-            "gamma2": sol.N.gamma2,
-        },
-        "hp": {"lambda": sol.hp.lam, "gamma": sol.hp.gamma},
-        "diagnostics": {
-            "iterations": sol.diagnostics.iterations,
-            "gap": gap if np.isfinite(gap) else None,
-            "cuts": sol.diagnostics.cuts,
-            "objective": sol.diagnostics.objective,
-            "converged": sol.diagnostics.converged,
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
-
-
-def load_solution(path, train: Dataset) -> IrrSolution:
-    """Read a solution written by save_solution, reattaching training data."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    M = np.asarray(obj["M"]["data"], dtype=float).reshape(
-        int(obj["M"]["rows"]), int(obj["M"]["cols"])
-    )
-    n_obj = obj["N"]
-    slices = np.asarray(n_obj["data"], dtype=float).reshape(
-        int(n_obj["slices"]), int(n_obj["rows"]), int(n_obj["cols"])
-    )
-    diag_obj = obj["diagnostics"]
-    gap = diag_obj["gap"]
-    diag = Diagnostics(
-        iterations=int(diag_obj["iterations"]),
-        gap=float("inf") if gap is None else float(gap),
-        cuts=int(diag_obj["cuts"]),
-        objective=float(diag_obj["objective"]),
-        converged=bool(diag_obj["converged"]),
-    )
-    return IrrSolution(
-        alpha=np.asarray(obj["alpha"], dtype=float),
-        M=M,
-        N=LiftedTensor(slices, float(n_obj["gamma2"])),
-        train=train,
-        hp=Hyperparams(lam=float(obj["hp"]["lambda"]), gamma=float(obj["hp"]["gamma"])),
-        diagnostics=diag,
-    )

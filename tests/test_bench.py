@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,9 +124,9 @@ def test_run_experiment_report_shape(linear_csv):
         else:
             assert res.best_gamma is None
     assert report.cells_scored > 0
-    assert report.irr_grid_mode == "pruned"
+    assert report.spec == spec
     obj = json.loads(report.to_json())
-    assert obj["grid"]["exponents"] == list(SMALL_GRID)
+    assert obj["grid"] == {"exponents": list(SMALL_GRID), "irr_mode": "pruned"}
     assert obj["fraction_remaining"]["mean"] == pytest.approx(report.fraction_mean)
 
 
@@ -282,7 +283,18 @@ def test_onevsall_runs_with_custom_blocks(digits_csv):
     report = run_onevsall(spec, 3)
     assert report.fraction_mean == pytest.approx(0.5)
     assert set(report.methods) == {"zero", "irr"}
-    assert report.corruption.kind is CorruptionKind.COLUMN_BLOCK
+    assert report.spec.corruption.kind is CorruptionKind.COLUMN_BLOCK
+
+
+def test_full_grid_scores_every_cell(linear_csv):
+    spec = base_spec(linear_csv, methods=("irr",), grid=(-3, -2, -1))
+    full = run_experiment(replace(spec, full_grid=True))
+    assert full.cells_scored == 9 * spec.trials
+    assert json.loads(full.to_json())["grid"]["irr_mode"] == "full"
+    pruned = run_experiment(spec)
+    assert pruned.cells_scored < full.cells_scored
+    # the full grid's cells are a superset of the pruned ones
+    assert full.methods["irr"].rmse_mean <= pruned.methods["irr"].rmse_mean
 
 
 def test_write_report_tsv(linear_csv, tmp_path):

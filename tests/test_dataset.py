@@ -7,7 +7,6 @@ from imputed_ridge import (
     load_csv,
     normalize,
     split,
-    stats,
 )
 
 
@@ -123,8 +122,6 @@ def test_normalize_observed_entries_only():
     np.testing.assert_allclose(n.X[:, 0], [0.0, 1.0, 0.0])
     np.testing.assert_allclose(n.X[:, 1], [0.0, 0.5, 1.0])
     np.testing.assert_allclose(n.y, [0.0, 0.5, 1.0])
-    np.testing.assert_allclose(n.feature_ranges[0], [2.0, 6.0])
-    assert n.label_range == (0.0, 10.0)
 
 
 def test_normalize_keeps_masked_zero(rng):
@@ -184,11 +181,3 @@ def test_split_size_validation():
         split(ds, 3, seed=0)
     with pytest.raises(ValueError):
         split(ds, 0, seed=0)
-
-
-def test_stats_fraction():
-    Z = np.array([[1.0, 0.0], [1.0, 1.0]])
-    ds = Dataset(np.ones((2, 2)) * Z, Z, np.zeros(2))
-    st = stats(ds)
-    assert st.m == 2 and st.d == 2
-    assert st.fraction_remaining == pytest.approx(0.75)

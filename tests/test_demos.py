@@ -1,7 +1,4 @@
-"""The demos run to completion against the package in src/.
-
-benchmark_protocol.py is left out: it takes about a minute.
-"""
+"""Every demo runs to completion against the package in src/."""
 
 import os
 import subprocess
@@ -15,7 +12,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "demo",
-    ["solver_walkthrough.py", "capacity_bounds.py", "corruption_and_baselines.py"],
+    [
+        "solver_walkthrough.py",
+        "capacity_bounds.py",
+        "corruption_and_baselines.py",
+        "benchmark_protocol.py",
+    ],
 )
 def test_demo_runs(demo):
     env = dict(os.environ)

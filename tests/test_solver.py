@@ -13,14 +13,12 @@ from imputed_ridge import (
     build_km,
     build_kmn,
     corrupt_independent,
-    load_solution,
     min_eigpair,
     predict_batch,
     range_basis,
     relaxed_core,
     ridge_weights,
     rmse,
-    save_solution,
     solve_irr,
 )
 from imputed_ridge.solver import _core_solve, _master, _primal_alpha, _Rows
@@ -453,27 +451,14 @@ def test_rmse_hand_value():
     assert rmse(sol, test) == pytest.approx(np.sqrt((1.0 + 0.0) / 2))
 
 
-def test_save_load_round_trip(rng, tmp_path):
-    ds = random_corrupted(rng, 12, 3)
-    sol = solve_irr(ds, Hyperparams(lam=0.15, gamma=0.7))
-    path = tmp_path / "model.json"
-    save_solution(sol, path)
-    back = load_solution(path, ds)
-    np.testing.assert_allclose(back.alpha, sol.alpha)
-    np.testing.assert_allclose(back.M, sol.M)
-    np.testing.assert_allclose(back.N.slices, sol.N.slices)
-    assert back.hp == sol.hp
-    assert back.diagnostics == sol.diagnostics
-    np.testing.assert_allclose(
-        predict_batch(back, ds), predict_batch(sol, ds), atol=1e-12
-    )
-
-
 def test_hyperparams_validation():
-    with pytest.raises(ValueError):
-        Hyperparams(lam=0.0, gamma=1.0)
-    with pytest.raises(ValueError):
-        Hyperparams(lam=1.0, gamma=-0.5)
+    for lam in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="lam"):
+            Hyperparams(lam=lam, gamma=1.0)
+    for gamma in (-0.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            Hyperparams(lam=1.0, gamma=gamma)
+    assert Hyperparams(lam=1e-300, gamma=0.0).gamma == 0.0
 
 
 def test_solver_config_round_trip():
