@@ -22,11 +22,11 @@ entry]: K = B S(M, N) B' with a c x c matrix S, c = d(1 + a), whose
 blocks are I on the X block, M[:, k] e_k' between the X block and
 block k, and N_k on block k.  relaxed_core computes F S F' for any F
 in B's column layout.  With F = B it is the m x m matrix (build_kmn).
-With B = Q R (range_basis, Q orthonormal m x r, r <= c the rank of B)
-and F = R it is the r x r core T of K = Q T Q'.  So the solver never
-forms K: the eigenvalues of K are those of T plus, when r < m, zeros
-on the complement of span Q, and one eigendecomposition of T
-(min_eigpair) gives both the PSD certificate and the ridge solve.
+With B = Q R (range_basis: Q orthonormal m x r, r <= c, span Q holding
+the range of B) and F = R it is the r x r core T of K = Q T Q'.  So the
+solver never forms K: the eigenvalues of K are those of T plus, when
+r < m, zeros on the complement of span Q, and one eigendecomposition
+of T (min_eigpair) gives both the PSD certificate and the ridge solve.
 relaxed_apply is the kernel-vector form: K(X0 rows, X rows) alpha for
 any rows X0, which gives dual predictions and kernel-vector products
 without forming either matrix.  Since a' K a is affine in (M, N) for a fixed
@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import Dataset
 from .imputation import impute_dataset
@@ -142,18 +141,24 @@ def range_basis(X, Zb, active):
 
     Every relaxed Gram is B S(M, N) B', so Q is an orthonormal basis
     holding the range of every K(M, N) and one factorization per
-    training set serves every outer iteration.  Pivoted QR of B,
-    truncated where the diagonal of R falls below 1e-12 of its largest
-    entry: Q is m x r and R is r x c with its columns in B's order, r
-    the numerical rank.  An identically zero X gives r = 0.
+    training set serves every outer iteration.  The all-zero columns of
+    B (column k of block k always is one, as masked entries are stored
+    as zero) are left out of a plain Householder QR of the rest, and
+    each row of R whose norm is at most 1e-12 of the largest is dropped
+    with its column of Q: such a column q has q'B ~ 0, so the range of B
+    stays in span Q.  Q is m x r and R is r x c with its columns in B's
+    order, zero in the columns left out.  r <= c, and r is the rank of
+    B when B's nonzero columns are independent; on a rank-deficient B
+    it may exceed the rank.  An identically zero X gives r = 0.
     """
     B = _basis(X, Zb, active)
-    Q, R, piv = scipy.linalg.qr(B, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    rank = int((diag > diag[0] * 1e-12).sum()) if diag.size and diag[0] > 0 else 0
-    R_b = np.empty((rank, B.shape[1]))
-    R_b[:, piv] = R[:rank]
-    return Q[:, :rank], R_b
+    live = np.flatnonzero(B.any(axis=0))
+    Q, R = np.linalg.qr(B[:, live])
+    norms = np.linalg.norm(R, axis=1)
+    keep = norms > 1e-12 * norms.max(initial=0.0)
+    R_b = np.zeros((int(keep.sum()), B.shape[1]))
+    R_b[:, live] = R[keep]
+    return Q[:, keep], R_b
 
 
 def relaxed_core(F, M, slices, active) -> np.ndarray:

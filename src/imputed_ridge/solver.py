@@ -49,7 +49,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import Dataset
 from .kernel import (
@@ -153,7 +152,7 @@ def ridge_weights(U, y, lam) -> np.ndarray:
         raise ValueError("design rows and label sizes disagree")
     G = U.T @ U
     G.flat[:: G.shape[0] + 1] += U.shape[0] * lam
-    return scipy.linalg.solve(G, U.T @ y, assume_a="pos")
+    return np.linalg.solve(G, U.T @ y)
 
 
 class _Rows:
@@ -267,49 +266,51 @@ def _master(rows, gamma, inner_steps, eps):
     can underflow: a small budget shrinks the N scale by about gamma on
     every step.
     """
-    GM, GN, cM, cN = rows.GM, rows.GN, rows.cM, rows.cN
+    GM, GN = rows.GM, rows.GN
     npl, k = rows.planes, GM.shape[0]
     have_cuts = k > npl
     rM = gamma * gamma  # squared radii of the two balls
     rN = rM * rM
     dM = np.diag(GM).tolist()
     dN = np.diag(GN).tolist()
-    # G[j] stacks a zero row over row j of each Gram, so that a step of
-    # length tau along row j adds D G[j] to P, D = diag(0, tau/sM, tau/sN)
-    G = np.zeros((k, 3, k))
-    G[:, 1] = GM
-    G[:, 2] = GN
-    c = np.stack([cM, cN])
+    # G[j] stacks row j of each Gram, so that a step of length tau along
+    # row j adds D G[j] to P[1:], D = diag(tau/sM, tau/sN)
+    G = np.stack([GM, GN], axis=1)
+    cM, cN = rows.cM.tolist(), rows.cN.tolist()
     # row 0 holds the constants, the cuts' negated, so that u = w . P
     # is the planes' values, then the cuts' values negated, with
     # w = (1, -sM, -sN) the lazy scales
     const = np.concatenate([rows.const[:npl], -rows.const[npl:]])
-    P = np.stack([const, GM @ cM, GN @ cN])
+    P = np.stack([const, GM @ rows.cM, GN @ rows.cN])
+    PG = P[1:]
     w = np.array([1.0, -1.0, -1.0])
-    D = np.zeros((3, 3))
+    u = np.empty(k)
+    u_planes, u_cuts = u[:npl], u[npl:]
+    D = np.empty((2, 1))
+    DG = np.empty((2, k))
     sM = sN = 1.0
-    qM = float(cM @ P[1])
-    qN = float(cN @ P[2])
+    qM = float(rows.cM @ P[1])
+    qN = float(rows.cN @ P[2])
     best_val = np.inf
-    best = (c.copy(), 1.0, 1.0)
+    best = (cM.copy(), cN.copy(), 1.0, 1.0)
     step_scale = None
 
     for t in range(1, inner_steps + 1):
-        u = w.dot(P)
+        w.dot(P, out=u)
         viol = 0.0
         if have_cuts:
-            j = npl + int(u[npl:].argmax())
-            viol = -float(u[j])
+            j = npl + int(u_cuts.argmax())
+            viol = -u.item(j)
 
         if viol < -eps:
             gsq = dM[j] + dN[j]
             tau = -viol / gsq if gsq > 0.0 else 0.0
         else:
-            j = int(u[:npl].argmax())
-            val = float(u[j])
+            j = int(u_planes.argmax())
+            val = u.item(j)
             if val < best_val:
                 best_val = val
-                best = (c.copy(), sM, sN)
+                best = (cM.copy(), cN.copy(), sM, sN)
             gnorm = math.sqrt(dM[j] + dN[j])
             if gnorm <= 1e-14:
                 break  # objective is flat in (M, N); nothing to move
@@ -321,13 +322,14 @@ def _master(rows, gamma, inner_steps, eps):
             tau = step_scale / (math.sqrt(t) * gnorm)
 
         if tau != 0.0:
-            qM += tau * (2.0 * sM * P[1, j] + tau * dM[j])
-            qN += tau * (2.0 * sN * P[2, j] + tau * dN[j])
-            D[1, 1] = tau / sM
-            D[2, 2] = tau / sN
-            c[0, j] += D[1, 1]
-            c[1, j] += D[2, 2]
-            P += D.dot(G[j])
+            qM += tau * (2.0 * sM * P.item(1, j) + tau * dM[j])
+            qN += tau * (2.0 * sN * P.item(2, j) + tau * dN[j])
+            stepM, stepN = tau / sM, tau / sN
+            cM[j] += stepM
+            cN[j] += stepN
+            D[0, 0], D[1, 0] = stepM, stepN
+            np.multiply(G[j], D, out=DG)
+            PG += DG
 
         if qM > rM:
             sM *= math.sqrt(rM / qM)
@@ -338,14 +340,15 @@ def _master(rows, gamma, inner_steps, eps):
             qN = rN
             w[2] = -sN
         if sM < 1e-60 or sN < 1e-60:
-            fold = np.array([[sM], [sN]])
-            c *= fold
-            P[1:] *= fold
+            cM = [c * sM for c in cM]
+            cN = [c * sN for c in cN]
+            P[1] *= sM
+            P[2] *= sN
             sM = sN = 1.0
             w[1:] = -1.0
 
-    c, sM, sN = best
-    return c[0] * sM, c[1] * sN, best_val
+    cM, cN, sM, sN = best
+    return np.array(cM) * sM, np.array(cN) * sN, best_val
 
 
 def _polish(X, Zba, active, y, mlam, Ma0, gamma, tol, max_steps=80):
@@ -411,6 +414,8 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
     test fired; a run that stops at config.max_outer reports False,
     whatever its last gap.  (The master value is the model's value at
     an approximate minimizer, so it is not a certified lower bound.)
+    Raises ValueError for an empty training set, and for a lam so small
+    that m*lam is below 1e-12 of the kernel scale ||X||_F^2 (1 + gamma)^2.
     """
     cfg = config or SolverConfig()
     X, Z, y = train.X, train.Z, train.y
@@ -421,6 +426,15 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
     active = np.flatnonzero(Zb.any(axis=0))
     a = active.size
     mlam = m * hp.lam
+    # ||X||_F^2 (1 + gamma)^2 is the scale of the trace of every kernel
+    # in budget; a shift m*lam far below it is lost in rounding, and the
+    # solve would return NaN or infinite weights
+    scale = float(np.vdot(X, X)) * (1.0 + hp.gamma) ** 2
+    if mlam < 1e-12 * scale:
+        raise ValueError(
+            f"lam = {hp.lam:g} is too small for this data: m*lam = {mlam:g} is "
+            f"below 1e-12 of the kernel scale {scale:g}"
+        )
 
     if hp.gamma == 0.0 or a == 0:
         # no imputation freedom, or nothing missing: plain ridge on X

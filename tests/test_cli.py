@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,3 +167,15 @@ def test_digits_bad_digit(data_csv, tmp_path, capsys):
     )
     assert code == 1
     assert "digit" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    """The package and its CLI run on numpy alone."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = "import sys, imputed_ridge, imputed_ridge.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"

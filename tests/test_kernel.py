@@ -7,6 +7,7 @@ from imputed_ridge import (
     LiftedTensor,
     build_km,
     build_kmn,
+    corrupt_independent,
     lift,
     min_eigpair,
     range_basis,
@@ -272,6 +273,30 @@ def test_range_basis_holds_relaxed_kernel(rng):
         assert (Q.shape[1] == m) == (m == 4)
         expect = w0 if Q.shape[1] == m else min(w0, 0.0)
         assert lam == pytest.approx(expect, abs=1e-9 * np.abs(K).max())
+
+
+def test_range_basis_duplicate_blocks(rng):
+    # feature 0 is missing in every row, so its block Zb[:, 0] * X is X
+    # itself: B repeats d columns, and the basis holds its range whether
+    # or not r comes out at the rank
+    m, d = 30, 4
+    X = rng.random((m, d))
+    Z = corrupt_independent(X, 0.6, 7)
+    Z[:, 0] = 0.0
+    ds = Dataset(X * Z, Z, rng.uniform(-1.0, 1.0, m))
+    Zb = 1.0 - ds.Z
+    active = np.flatnonzero(Zb.any(axis=0))
+    B = _basis(ds.X, Zb, active)
+    np.testing.assert_array_equal(B[:, d : 2 * d], ds.X)
+    assert np.linalg.matrix_rank(B) < B.shape[1] - d  # beyond the zero columns
+    Q, R = range_basis(ds.X, Zb, active)
+    assert Q.shape[1] <= B.shape[1] and R.shape == (Q.shape[1], B.shape[1])
+    np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-12)
+    np.testing.assert_allclose(Q @ R, B, atol=1e-12)
+    M, N = rng.standard_normal((d, d)), random_lifted(rng, d)
+    K = build_kmn(ds, M, N)
+    T = relaxed_core(R, M, N.slices[active], active)
+    np.testing.assert_allclose(Q @ T @ Q.T, K, atol=1e-12 * np.abs(K).max())
 
 
 def test_min_eigpair_rejects_asymmetric(rng):

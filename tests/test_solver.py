@@ -461,6 +461,25 @@ def test_hyperparams_validation():
     assert Hyperparams(lam=1e-300, gamma=0.0).gamma == 0.0
 
 
+def test_vanishing_lam_rejected():
+    """An m*lam lost in rounding against the kernel is an error.
+
+    Not NaN or infinite weights marked converged, a failure inside eigh
+    or a run to max_outer; the CLI's default lambdas 2^-12 .. 2^10 still
+    solve.
+    """
+    ds = random_corrupted(np.random.default_rng(0), 40, 4)
+    for lam, gamma in [(5e-324, 0.0), (5e-324, 0.5), (1e-300, 0.0), (1e-300, 0.5),
+                       (1e-30, 0.5)]:
+        with pytest.raises(ValueError, match="lam"):
+            solve_irr(ds, Hyperparams(lam, gamma))
+    for gamma in (0.0, 0.5):
+        for e in range(-12, 11):
+            sol = solve_irr(ds, Hyperparams(2.0**e, gamma))
+            assert np.isfinite(sol.alpha).all()
+            assert np.isfinite(sol.diagnostics.objective)
+
+
 def test_solver_config_round_trip():
     text = '{"tol": 1e-4, "max_outer": 33, "inner_steps": 77, "eps_psd": 1e-8}'
     cfg = SolverConfig(tol=1e-4, max_outer=33, inner_steps=77, eps_psd=1e-8)
