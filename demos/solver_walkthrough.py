@@ -73,7 +73,7 @@ def main():
         slack = min(slack, val - diag.objective)
     print(f"audit 1: min slack over 300 random maps {slack:.2e} (>= 0 expected)")
 
-    # audit 2: the relaxed kernel the solver certified
+    # audit 2: the relaxed kernel the solver returned, PSD on the Schur set
     from imputed_ridge import build_kmn
 
     lam_min = np.linalg.eigvalsh(build_kmn(train, sol.M, sol.N))[0]

@@ -35,7 +35,6 @@ from .kernel import (
     build_km,
     build_kmn,
     lift,
-    min_eigpair,
     range_basis,
     relaxed_core,
 )

@@ -13,7 +13,10 @@ where Zb_i is the diagonal of row i's missingness indicator.  Choosing
 N_k as the outer product of column k of M with itself recovers the
 exact matrix on corrupted coordinates, so the affine family contains
 every exact one; the price is that a free N can make the matrix
-indefinite, which the solver polices with eigenvector cuts.
+indefinite.  Since K(M, N) - K_exact(M) is
+sum_k D_k X (N_k - M[:, k] M[:, k]') X' D_k with D_k = diag(Zb[:, k]),
+it is PSD wherever every N_k - M[:, k] M[:, k]' is, whatever the data;
+the solver keeps its iterates in that set.
 
 This module is the only place that knows the formula, in two forms.
 Whatever (M, N) is, the matrix factors through X's columns and their
@@ -24,9 +27,8 @@ block k, and N_k on block k.  relaxed_core computes F S F' for any F
 in B's column layout.  With F = B it is the m x m matrix (build_kmn).
 With B = Q R (range_basis: Q orthonormal m x r, r <= c, span Q holding
 the range of B) and F = R it is the r x r core T of K = Q T Q'.  So the
-solver never forms K: the eigenvalues of K are those of T plus, when
-r < m, zeros on the complement of span Q, and one eigendecomposition
-of T (min_eigpair) gives both the PSD certificate and the ridge solve.
+solver never forms K: K acts as T on span Q and vanishes on its
+complement, so one r x r solve gives the ridge weights.
 relaxed_apply is the kernel-vector form: K(X0 rows, X rows) alpha for
 any rows X0, which gives dual predictions and kernel-vector products
 without forming either matrix.  Since a' K a is affine in (M, N) for a fixed
@@ -212,32 +214,3 @@ def relaxed_apply(X, Zb, M, slices, alpha, X0, Z0) -> np.ndarray:
     observed = X0 @ P
     observed *= Z0
     return X0 @ (u0 + P.sum(axis=1)) - observed.sum(axis=1)
-
-
-def min_eigpair(T, Q):
-    """Smallest eigenvalue of K = Q T Q', with a unit eigenvector when negative.
-
-    ``T`` is an r x r core (relaxed_core) and ``Q`` the m x r
-    orthonormal basis it is taken on.  The nonzero eigenvalues of K are
-    those of T, and when r < m the orthogonal complement of span Q adds
-    an exact zero, so the smallest eigenvalue is min(w0, 0) there and
-    w0 itself when Q is square.  Returns (eigenvalue, vector-or-None,
-    w, U) with T = U diag(w) U', w ascending, which the solver reuses
-    for its ridge solve; the vector Q U[:, 0] is only materialized when
-    the eigenvalue is negative, the only case a cut needs it.  Raises
-    ValueError when T is not symmetric.
-    """
-    T = np.asarray(T, dtype=float)
-    m, r = Q.shape
-    if T.shape != (r, r):
-        raise ValueError("core must be square with one row per basis column")
-    if r and np.abs(T - T.T).max() > 1e-9 * np.abs(T).max():
-        raise ValueError("matrix must be symmetric")
-    w, U = np.linalg.eigh(0.5 * (T + T.T))
-    if r == 0:
-        return 0.0, None, w, U
-    lam = float(w[0]) if r == m else float(min(w[0], 0.0))
-    if lam < 0.0:
-        v = Q @ U[:, 0]
-        return lam, v / np.linalg.norm(v), w, U
-    return lam, None, w, U

@@ -7,25 +7,32 @@ affine functions over dual vectors:
 
     f(M, N) = max_alpha [ 2 alpha'y - alpha'(K(M, N) + m*lam*I) alpha ]
 
-which this module minimizes with cutting planes:
+which this module minimizes with cutting planes over the Schur set
 
-  1. at the current (M, N), build the r x r core T of the kernel
+    C = {(M, N) : N_k - M_k M_k' >= 0 (PSD) for every feature k}
+
+(M_k column k of M).  K(M, N) - K_exact(M) = sum_k D_k X (N_k - M_k M_k')
+X' D_k with D_k = diag(Zb[:, k]), so every kernel on C is PSD, for any
+data; C holds every exact lift N_k = M_k M_k' and so still relaxes
+exact imputation.  Each outer iteration:
+
+  1. at the current point of C, build the r x r core T of the kernel
      K = Q T Q' on the basis Q of kernel.range_basis, computed once per
-     solve, and take its eigendecomposition T = U diag(w) U'; then
-     solve the ridge system for the maximizing alpha through it, in
-     O(m r), and add alpha to an active set;
+     solve; solve the ridge system for the maximizing alpha through
+     one r x r solve of the positive definite T + m*lam*I, in O(m r),
+     and add alpha to an active set;
   2. re-minimize the active-set maximum over the Frobenius balls with
      projected subgradient steps, in plane coordinates: the iterate is
      a combination of the planes' and cuts' coefficient rows, and the
      steps only need those rows' k x k Grams;
-  3. if the current kernel has a negative eigenvalue, add the affine
-     constraint v' K(M, N) v >= 0 for the offending eigenvector
-     v = Q U[:, 0], from the same eigendecomposition, whatever the
-     problem's shape;
+  3. take one batched eigendecomposition of the blocks N_k - M_k M_k'
+     at that iterate: each block below -eps_psd adds a Schur cut, an
+     affine constraint that holds on C, and clipping the blocks'
+     negative eigenvalues gives the next point of C (_schur_separate);
   4. stop when the incumbent's value and the master value agree to
      relative tolerance.
 
-Every alpha and every eigenvector enters the master step through the
+Every alpha and every Schur cut enters the master step through the
 same factorization (quad_factors): its pair (s, V) gives one new row
 and column of each Gram in O(k d a), and one inner iteration costs
 O(k) for k planes and cuts, whatever d.  The iterate's (M, N) is
@@ -35,7 +42,7 @@ the r x r core, r <= d(1 + a).  A
 short projected gradient polish on the exact-imputation objective runs
 after the cutting planes, each evaluation a d x d primal ridge solve;
 its result is adopted only when it improves, which is always sound
-because the lift of an in-budget map stays feasible.
+because the lift of an in-budget map lies in C.
 
 Ridge on explicit rows U (the polish, the gamma = 0 shortcut and the
 benchmark's baselines) has one implementation, ridge_weights: the
@@ -54,7 +61,6 @@ from .dataset import Dataset
 from .kernel import (
     LiftedTensor,
     lift,
-    min_eigpair,
     quad_factors,
     range_basis,
     relaxed_apply,
@@ -82,14 +88,19 @@ class Hyperparams:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Solver limits; eps_psd is how far below zero a Schur block's
+    smallest eigenvalue may go before it is cut off."""
+
     tol: float = 1e-3
     max_outer: int = 200
     inner_steps: int = 500
     eps_psd: float = 1e-7
 
     def __post_init__(self):
-        if not (self.tol > 0 and self.eps_psd > 0):
-            raise ValueError("tolerances must be positive")
+        for name in ("tol", "eps_psd"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.max_outer < 1 or self.inner_steps < 1:
             raise ValueError("iteration limits must be at least 1")
 
@@ -119,7 +130,7 @@ class SolverConfig:
 class Diagnostics:
     iterations: int
     gap: float
-    cuts: int
+    cuts: int  # Schur cuts added to the model
     objective: float
     converged: bool
 
@@ -159,12 +170,13 @@ class _Rows:
     """The planes and cuts of the cutting-plane model, in plane coordinates.
 
     Row j is the affine map (M, N) -> a_j' K a_j - a_j' X X' a_j of one
-    dual vector or cut vector a_j.  From quad_factors' pair (s_j, V_j),
-    restricted to the active features, its M block is
-    B_j = 2 V_j diag(s_j) and its N block the outer products
-    V_j[:, k] V_j[:, k]'; only B_j and V_j are stored.  Planes come
-    first, then cuts, each in the order they were added.  The master step needs the rows' inner products,
-    the two k x k Grams
+    dual vector a_j, given on the active features by quad_factors' pair
+    (s_j, V_j); a Schur cut has a pair of the same form
+    (_schur_separate).  Its M block is B_j = 2 V_j diag(s_j) and its N
+    block the outer products V_j[:, k] V_j[:, k]'; only B_j and V_j are
+    stored.  Planes come first, then cuts, each in the order they were
+    added.  The master step needs the rows' inner products, the two
+    k x k Grams
 
         GM[i, j] = B_i . B_j = 4 sum_k s_ik s_jk (V_i[:, k] . V_j[:, k])
         GN[i, j] = sum_k (V_i[:, k] . V_j[:, k])^2
@@ -406,16 +418,17 @@ def _polish(X, Zba, active, y, mlam, Ma0, gamma, tol, max_steps=80):
 def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = None) -> IrrSolution:
     """Cutting-plane minimization of the relaxed ridge objective.
 
-    Starts from M = N = 0, which is always feasible (the zero-filled
-    Gram matrix is positive semidefinite).  Alternates ridge solves,
-    master re-minimization, and eigenvector cuts until the relative
-    gap between the best feasible objective and the master value drops
-    below config.tol.  Diagnostics.converged is True only when that
-    test fired; a run that stops at config.max_outer reports False,
-    whatever its last gap.  (The master value is the model's value at
-    an approximate minimizer, so it is not a certified lower bound.)
-    Raises ValueError for an empty training set, and for a lam so small
-    that m*lam is below 1e-12 of the kernel scale ||X||_F^2 (1 + gamma)^2.
+    Starts from M = N = 0, which lies in the Schur set C.  Alternates
+    ridge solves at points of C, master re-minimization, and Schur cuts
+    with a move back into C until the relative gap between the best
+    objective found and the master value drops below config.tol.  Every
+    kernel evaluated is PSD, and so is the returned one.
+    Diagnostics.converged is True only when that test fired; a run that
+    stops at config.max_outer reports False, whatever its last gap.
+    (The master value is the model's value at an approximate minimizer,
+    so it is not a certified lower bound.)  Raises ValueError for an
+    empty training set, and for a lam so small that m*lam is below
+    1e-12 of the kernel scale ||X||_F^2 (1 + gamma)^2.
     """
     cfg = config or SolverConfig()
     X, Z, y = train.X, train.Z, train.y
@@ -461,48 +474,29 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
     Ma, Ns = np.zeros((d, a)), np.zeros((a, d, d))
 
     upper_best = np.inf
-    incumbent = None
     lower = -np.inf
-    gap = np.inf
     converged = False
-    it_done = 0
 
     for it in range(1, cfg.max_outer + 1):
-        it_done = it
+        # (Ma, Ns) lies in C, so K + m*lam*I is positive definite
         T = relaxed_core(Rb, _scatter(Ma, active, d), Ns, active)
-        lam_min, vmin, w, U = min_eigpair(T, Qb)
-        # None: kernel too indefinite for the shift; the cut below repairs it
-        alpha = _core_solve(Qb, w, U, y, mlam)
+        alpha = _core_solve(Qb, T, y, mlam)
+        f_cur = float(y @ alpha)
+        if f_cur < upper_best:
+            upper_best = f_cur
+            incumbent = (Ma, Ns, alpha)
+        _, s, V = quad_factors(X, Zb, alpha)
+        a0 = 2.0 * f_cur - mlam * float(alpha @ alpha) - float(s @ s)
+        rows.add(a0, s[active], V[:, active], cut=False)
 
-        if lam_min >= -cfg.eps_psd:
-            if alpha is not None:
-                f_cur = float(y @ alpha)
-                if f_cur < upper_best:
-                    upper_best = f_cur
-                    incumbent = (Ma, Ns, alpha)
-        else:
-            c0, s, V = quad_factors(X, Zb, vmin)
-            rows.add(c0, s[active], V[:, active], cut=True)
+        gap = upper_best - lower
+        if gap <= cfg.tol * max(abs(upper_best), 1e-12):
+            converged = True
+            break
 
-        if alpha is not None:
-            _, s, V = quad_factors(X, Zb, alpha)
-            a0 = 2.0 * float(alpha @ y) - mlam * float(alpha @ alpha) - float(s @ s)
-            rows.add(a0, s[active], V[:, active], cut=False)
-
-        if np.isfinite(upper_best) and np.isfinite(lower):
-            gap = upper_best - lower
-            if gap <= cfg.tol * max(abs(upper_best), 1e-12):
-                converged = True
-                break
-
-        if not rows.planes:
-            continue  # nothing to model yet; keep cutting
         rows.cM, rows.cN, lower = _master(rows, hp.gamma, cfg.inner_steps, cfg.eps_psd)
-        Ma, Ns = rows.iterate(hp.gamma)
+        Ma, Ns = _schur_separate(rows, *rows.iterate(hp.gamma), hp.gamma, cfg.eps_psd)
 
-    if incumbent is None:
-        # should not happen: the zero start is feasible
-        raise RuntimeError("no feasible iterate found")
     Ma, Ns, alpha = incumbent
 
     # Final polish: descend the exact objective from the incumbent's map.
@@ -518,8 +512,8 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
     N[active] = Ns
 
     diag = Diagnostics(
-        iterations=it_done,
-        gap=float(max(gap, 0.0)) if np.isfinite(gap) else float("inf"),
+        iterations=it,
+        gap=float(max(gap, 0.0)),
         cuts=rows.const.size - rows.planes,
         objective=float(upper_best),
         converged=converged,
@@ -540,21 +534,52 @@ def _scatter(Ma, active, d):
     return M
 
 
-def _core_solve(Q, w, U, y, mlam):
-    """Dual ridge solve through the factored kernel K = Q U diag(w) U' Q'.
+def _core_solve(Q, T, y, mlam):
+    """Dual ridge solve through the factored kernel K = Q T Q'.
 
-    alpha = (K + m*lam*I)^{-1} y splits into span Q, where the shifted
-    eigenvalues are w + m*lam, and its complement, where K vanishes:
+    alpha = (K + m*lam*I)^{-1} y splits into span Q, where the kernel
+    acts as the r x r core T, and its complement, where K vanishes:
 
-        alpha = Q U diag(1/(w + m*lam)) U' Q'y + (y - Q Q'y) / (m*lam).
+        alpha = Q (T + m*lam*I)^{-1} Q'y + (y - Q Q'y) / (m*lam).
 
-    O(m r) for an m x r basis.  Returns None when K + m*lam*I is not
-    positive definite (w0 + m*lam <= 0), where its Cholesky would fail.
+    O(m r) plus one r x r solve for an m x r basis.  T must be positive
+    semidefinite, as it is at every point of the Schur set C.
     """
-    if w.size and w[0] + mlam <= 0.0:
-        return None
     qy = Q.T @ y
-    return Q @ (U @ ((U.T @ qy) / (w + mlam)) - qy / mlam) + y / mlam
+    shifted = T + mlam * np.eye(T.shape[0])
+    return Q @ (np.linalg.solve(shifted, qy) - qy / mlam) + y / mlam
+
+
+def _schur_separate(rows, Ma, Ns, gamma, eps):
+    """Cut (Ma, Ns) off the Schur set C and return a point of C near it.
+
+    C asks N_k - M_k M_k' >= 0 for every active feature k, M_k column k
+    of Ma.  One batched eigh of those a blocks gives both results.  A
+    block whose smallest eigenvalue is below -eps, with unit eigenvector
+    v, adds the cut u0^2 + 2 u0 (M_k . v) + v' N_k v >= 0, u0 = -M_k . v:
+    it is u' [[1, M_k'], [M_k, N_k]] u >= 0 at u = (u0, v), valid on all
+    of C and violated here by that eigenvalue, and in quad_factors form
+    it is const u0^2, s = u0 e_k and V with v as its only column, k.
+    The point returned is (t Ma, t^2 N'), N'_k = M_k M_k' plus the
+    block's positive part, with t <= 1 the largest factor inside both
+    balls; it is (Ma, Ns) itself when no block is negative.
+    """
+    d, a = Ma.shape
+    MM = np.einsum("rk,sk->krs", Ma, Ma)
+    w, U = np.linalg.eigh(Ns - MM)
+    for k in np.flatnonzero(w[:, 0] < -eps):
+        v = U[k, :, 0]
+        u0 = -float(Ma[:, k] @ v)
+        s, V = np.zeros(a), np.zeros((d, a))
+        s[k], V[:, k] = u0, v
+        rows.add(u0 * u0, s, V, cut=True)
+    neg = w[:, 0] < 0.0
+    if not neg.any():
+        return Ma, Ns
+    plus = (U * np.maximum(w, 0.0)[:, None, :]) @ U.transpose(0, 2, 1)
+    Ns = np.where(neg[:, None, None], MM + plus, Ns)
+    t2 = _into_ball(Ns, gamma * gamma)
+    return Ma * math.sqrt(t2), Ns * t2
 
 
 def _primal_alpha(U, y, mlam):

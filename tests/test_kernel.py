@@ -3,16 +3,13 @@ import pytest
 
 from imputed_ridge import (
     Dataset,
-    Hyperparams,
     LiftedTensor,
     build_km,
     build_kmn,
     corrupt_independent,
     lift,
-    min_eigpair,
     range_basis,
     relaxed_core,
-    solve_irr,
 )
 from imputed_ridge.kernel import _basis, quad_factors, relaxed_apply
 from imputed_ridge.solver import _Rows
@@ -45,6 +42,25 @@ def test_lift_consistency(rng):
         exact = build_km(ds, M)
         relaxed = build_kmn(ds, M, lift(M))
         np.testing.assert_allclose(relaxed, exact, atol=1e-9)
+
+
+def test_relaxation_gap_is_schur_complement_sum(rng):
+    """K(M, N) - K_exact(M) = sum_k D_k X (N_k - M_k M_k') X' D_k.
+
+    D_k = diag(Zb[:, k]) and M_k is column k of M, so the relaxed
+    kernel is PSD wherever every N_k - M_k M_k' is, whatever the data.
+    """
+    for _ in range(20):
+        m = int(rng.integers(3, 15))
+        d = int(rng.integers(2, 6))
+        ds = random_corrupted(rng, m, d)
+        M, N = rng.standard_normal((d, d)), random_lifted(rng, d)
+        Zb = 1.0 - ds.Z
+        DX = [Zb[:, [k]] * ds.X for k in range(d)]
+        want = sum(DX[k] @ (N.slices[k] - np.outer(M[:, k], M[:, k])) @ DX[k].T
+                   for k in range(d))
+        got = build_kmn(ds, M, N) - build_km(ds, M)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
 
 def test_kernel_affine_in_m_and_n(rng):
@@ -194,29 +210,6 @@ def test_gradient_matches_finite_differences(rng):
         assert_rows_match(rows, flats, dM, rng)
 
 
-def test_min_eigpair_indefinite_agrees(rng):
-    m, c = 50, 6
-    B = rng.standard_normal((m, c))
-    C = np.diag([-2.0, -0.5, 0.3, 1.0, 2.0, 3.0])
-    K = B @ C @ B.T  # indefinite, range inside span(B)
-    Q, R = np.linalg.qr(B)
-    lam, v, w, U = min_eigpair(R @ C @ R.T, Q)
-    assert lam == pytest.approx(np.linalg.eigvalsh(K)[0], abs=1e-8)
-    assert np.linalg.norm(v) == pytest.approx(1.0)
-    np.testing.assert_allclose(K @ v, lam * v, atol=1e-7)
-    assert lam == w[0]
-    np.testing.assert_allclose(v, Q @ U[:, 0] / np.linalg.norm(Q @ U[:, 0]))
-
-
-def test_min_eigpair_psd_input(rng):
-    # rank-deficient PSD matrix: the complement of its range supplies an
-    # exact zero, which no rounding in the core's eigenproblem can move
-    Q, R = np.linalg.qr(rng.standard_normal((20, 8)))
-    lam, v, _, _ = min_eigpair(R @ R.T, Q)
-    assert lam == 0.0
-    assert v is None
-
-
 def test_min_eig_low_rank_psd_reports_zero(rng):
     # rank-deficient PSD matrix B B' with the factors taken by
     # range_basis from the raw factor B (no active columns): the core
@@ -227,26 +220,10 @@ def test_min_eig_low_rank_psd_reports_zero(rng):
     np.testing.assert_allclose(Q @ R, B, atol=1e-12)
     T = relaxed_core(R, np.zeros((4, 4)), np.zeros((0, 4, 4)), [])
     np.testing.assert_allclose(Q @ T @ Q.T, B @ B.T, atol=1e-10)
-    lam, v, _, _ = min_eigpair(T, Q)
-    assert lam == 0.0
-    assert v is None
-
-
-def test_min_eigpair_dense(rng):
-    # a full-rank basis has no complement: w0 is reported as it is,
-    # negative or positive
-    n = 40
-    A = rng.standard_normal((n, n))
-    A = 0.5 * (A + A.T)
-    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    lam, v, _, _ = min_eigpair(Q.T @ A @ Q, Q)
-    assert lam == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
-    np.testing.assert_allclose(A @ v, lam * v, atol=1e-8)
-    P = A @ A.T + np.eye(n)
-    lam, v, _, _ = min_eigpair(Q.T @ P @ Q, Q)
-    assert lam == pytest.approx(np.linalg.eigvalsh(P)[0], rel=1e-10)
-    assert lam >= 1.0 - 1e-9
-    assert v is None
+    # the core is PSD and the kernel vanishes on the complement of span Q,
+    # which gives B B' its 26 zero eigenvalues
+    assert np.linalg.eigvalsh(T)[0] >= 0.0
+    np.testing.assert_allclose((np.eye(30) - Q @ Q.T) @ (B @ B.T), 0.0, atol=1e-10)
 
 
 def test_range_basis_holds_relaxed_kernel(rng):
@@ -268,11 +245,11 @@ def test_range_basis_holds_relaxed_kernel(rng):
         np.testing.assert_allclose(P @ K @ P, K, atol=1e-9 * np.abs(K).max())
         T = relaxed_core(R, M, N.slices[active], active)
         np.testing.assert_allclose(Q @ T @ Q.T, K, atol=1e-12 * np.abs(K).max())
-        lam, _, _, _ = min_eigpair(T, Q)
-        w0 = np.linalg.eigvalsh(K)[0]
-        assert (Q.shape[1] == m) == (m == 4)
-        expect = w0 if Q.shape[1] == m else min(w0, 0.0)
-        assert lam == pytest.approx(expect, abs=1e-9 * np.abs(K).max())
+        # K's spectrum is T's plus a zero for each dimension outside span Q
+        r = Q.shape[1]
+        assert (r == m) == (m == 4)
+        want = np.sort(np.concatenate([np.linalg.eigvalsh(T), np.zeros(m - r)]))
+        np.testing.assert_allclose(np.linalg.eigvalsh(K), want, atol=1e-9 * np.abs(K).max())
 
 
 def test_range_basis_duplicate_blocks(rng):
@@ -297,36 +274,6 @@ def test_range_basis_duplicate_blocks(rng):
     K = build_kmn(ds, M, N)
     T = relaxed_core(R, M, N.slices[active], active)
     np.testing.assert_allclose(Q @ T @ Q.T, K, atol=1e-12 * np.abs(K).max())
-
-
-def test_min_eigpair_rejects_asymmetric(rng):
-    with pytest.raises(ValueError):
-        min_eigpair(rng.standard_normal((5, 5)), np.eye(5))
-    with pytest.raises(ValueError):
-        min_eigpair(np.eye(4), np.eye(5))  # core and basis disagree
-
-
-def test_min_eigpair_rank_zero_basis():
-    # X identically zero with masked entries: the basis is empty, the
-    # kernel is zero, and the solve is plain ridge on the zero-filled rows
-    m, d = 6, 3
-    Z = np.ones((m, d))
-    Z[::2, 1] = 0.0
-    y = np.linspace(-1.0, 1.0, m)
-    ds = Dataset(np.zeros((m, d)), Z, y)
-    Zb = 1.0 - Z
-    active = np.flatnonzero(Zb.any(axis=0))
-    Q, R = range_basis(ds.X, Zb, active)
-    assert Q.shape == (m, 0) and R.shape == (0, d * (1 + active.size))
-    T = relaxed_core(R, np.ones((d, d)), np.ones((active.size, d, d)), active)
-    assert T.shape == (0, 0)
-    assert min_eigpair(T, Q)[:2] == (0.0, None)
-    hp = Hyperparams(lam=0.5, gamma=1.0)
-    sol = solve_irr(ds, hp)
-    np.testing.assert_allclose(sol.alpha, y / (m * hp.lam))
-    assert sol.diagnostics.objective == pytest.approx(y @ y / (m * hp.lam))
-    assert sol.diagnostics.converged
-    np.testing.assert_array_equal(sol.M, 0.0)
 
 
 def test_lifted_tensor_budget():
