@@ -408,8 +408,12 @@ def sweep_fraction(spec: ExperimentSpec, fractions):
     """Run the experiment once per target fraction; rows for plotting.
 
     Returns (fraction, method, rmse_mean, rmse_std) tuples, recalibrating
-    beta for each fraction.
+    beta for each fraction.  Raises ValueError for an empty list or a
+    fraction outside (0, 1].
     """
+    fractions = list(fractions)
+    if not fractions:
+        raise ValueError("fractions must list at least one observed fraction")
     rows = []
     for f in fractions:
         if not 0.0 < f <= 1.0:

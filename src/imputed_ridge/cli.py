@@ -154,8 +154,8 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             # each row recalibrates to its own fraction, so a missing
             # --beta just needs any placeholder target
-            if args.fractions and args.beta is None and args.target_fraction is None:
-                args.target_fraction = args.fractions[0]
+            if args.beta is None and args.target_fraction is None:
+                args.target_fraction = 1.0
             spec = _spec_from_args(args)
             rows = sweep_fraction(spec, args.fractions)
             write_sweep_tsv(rows, args.out)

@@ -38,21 +38,20 @@ and column of each Gram in O(k d a), and one inner iteration costs
 O(k) for k planes and cuts, whatever d.  The iterate's (M, N) is
 rebuilt from its coefficients once per outer iteration.  No step of a
 solve forms an m x m matrix: the per-iteration work is O(m r) plus
-the r x r core, r <= d(1 + a).  A
-short projected gradient polish on the exact-imputation objective runs
-after the cutting planes, each evaluation a d x d primal ridge solve;
-its result is adopted only when it improves, which is always sound
-because the lift of an in-budget map lies in C.
+the r x r core, r <= d(1 + a).  The solve returns the incumbent: the
+point of C with the lowest objective among those it evaluated.
 
-Ridge on explicit rows U (the polish, the gamma = 0 shortcut and the
-benchmark's baselines) has one implementation, ridge_weights: the
-d x d normal equations, never the m x m Gram U U'.
+Ridge on explicit rows U (the gamma = 0 shortcut and the benchmark's
+baselines) has one implementation, ridge_weights: the d x d normal
+equations, never the m x m Gram U U'.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -60,7 +59,6 @@ import numpy as np
 from .dataset import Dataset
 from .kernel import (
     LiftedTensor,
-    lift,
     quad_factors,
     range_basis,
     relaxed_apply,
@@ -97,19 +95,28 @@ class SolverConfig:
     eps_psd: float = 1e-7
 
     def __post_init__(self):
+        """Limits must be integers >= 1 and tolerances positive finite
+        reals, booleans neither, so nothing is silently rounded or cast."""
+        for name in ("max_outer", "inner_steps"):
+            value = getattr(self, name)
+            try:
+                ok = not isinstance(value, bool) and operator.index(value) >= 1
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         for name in ("tol", "eps_psd"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.max_outer < 1 or self.inner_steps < 1:
-            raise ValueError("iteration limits must be at least 1")
 
     @classmethod
     def from_json(cls, text: str) -> "SolverConfig":
         """Read a JSON object of SolverConfig fields; absent keys keep defaults.
 
-        The iteration limits must be JSON integers and the tolerances
-        numbers (booleans are neither), so no value is silently rounded.
+        The values are checked as by the constructor.
         """
         obj = json.loads(text)
         if not isinstance(obj, dict):
@@ -117,13 +124,7 @@ class SolverConfig:
         unknown = sorted(set(obj) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown solver config keys: {', '.join(unknown)}")
-        limits = ("max_outer", "inner_steps")
-        for key, value in obj.items():
-            kind = int if key in limits else (int, float)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if key in limits else "a number"
-                raise ValueError(f"solver config: {key} must be {what}, got {value!r}")
-        return cls(**{k: v if k in limits else float(v) for k, v in obj.items()})
+        return cls(**obj)
 
 
 @dataclass(frozen=True)
@@ -363,58 +364,6 @@ def _master(rows, gamma, inner_steps, eps):
     return np.array(cM) * sM, np.array(cN) * sN, best_val
 
 
-def _polish(X, Zba, active, y, mlam, Ma0, gamma, tol, max_steps=80):
-    """Projected gradient descent on the exact-imputation objective.
-
-    h(M) = y'(K_M + m*lam*I)^{-1} y is smooth in M, and near the PSD
-    boundary the subgradient master stalls a few multiples of tol above
-    the best nearby exact point.  Descending h directly closes that
-    residual.  Each evaluation is the d x d primal solve of
-    _primal_alpha on the imputed rows U.  Gradient at the ridge solution
-    alpha: with u = U'alpha and V the alpha-weighted masked design, the
-    derivative in column k is -2 u_k V[:, k].  Backtracking steps,
-    radial projection onto the gamma ball; stops once a step gains less
-    than a tol-scaled amount, so the depth follows the configured
-    tolerance.
-    """
-
-    def evaluate(Ma):
-        U = X.copy()
-        U[:, active] += Zba * (X @ Ma)
-        alpha = _primal_alpha(U, y, mlam)
-        return float(y @ alpha), alpha, U
-
-    Ma = Ma0.copy()
-    obj, alpha, U = evaluate(Ma)
-    floor_gain = 0.1 * tol * max(abs(obj), 1e-12)
-    tau = None
-    for _ in range(max_steps):
-        u = U.T @ alpha
-        grad = -2.0 * (X.T @ (alpha[:, None] * Zba)) * u[active][None, :]
-        gn = float(np.linalg.norm(grad))
-        if gn <= 1e-14:
-            break
-        if tau is None:
-            tau = gamma / gn  # first trial step traverses the ball's scale
-        for _ in range(30):
-            cand = Ma - tau * grad
-            nm = float(np.linalg.norm(cand))
-            if nm > gamma:
-                cand *= gamma / nm
-            o2, a2, U2 = evaluate(cand)
-            if o2 < obj:
-                break
-            tau *= 0.25
-        if not o2 < obj:
-            break
-        gain = obj - o2
-        Ma, obj, alpha, U = cand, o2, a2, U2
-        tau *= 2.0
-        if gain < floor_gain:
-            break
-    return Ma, obj, alpha
-
-
 def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = None) -> IrrSolution:
     """Cutting-plane minimization of the relaxed ridge objective.
 
@@ -422,7 +371,8 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
     ridge solves at points of C, master re-minimization, and Schur cuts
     with a move back into C until the relative gap between the best
     objective found and the master value drops below config.tol.  Every
-    kernel evaluated is PSD, and so is the returned one.
+    kernel evaluated is PSD.  Returns the incumbent, the evaluated point
+    of C with the lowest objective, which Diagnostics.objective reports.
     Diagnostics.converged is True only when that test fired; a run that
     stops at config.max_outer reports False, whatever its last gap.
     (The master value is the model's value at an approximate minimizer,
@@ -452,13 +402,8 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
     if hp.gamma == 0.0 or a == 0:
         # no imputation freedom, or nothing missing: plain ridge on X
         alpha = _primal_alpha(X, y, mlam)
-        diag = Diagnostics(
-            iterations=1,
-            gap=0.0,
-            cuts=0,
-            objective=float(y @ alpha),
-            converged=True,
-        )
+        diag = Diagnostics(iterations=1, gap=0.0, cuts=0, objective=float(y @ alpha),
+                           converged=True)
         return IrrSolution(
             alpha=alpha,
             M=np.zeros((d, d)),
@@ -468,7 +413,6 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
             diagnostics=diag,
         )
 
-    Zba = Zb[:, active]
     Qb, Rb = range_basis(X, Zb, active)
     rows = _Rows(d, a)
     Ma, Ns = np.zeros((d, a)), np.zeros((a, d, d))
@@ -498,16 +442,6 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
         Ma, Ns = _schur_separate(rows, *rows.iterate(hp.gamma), hp.gamma, cfg.eps_psd)
 
     Ma, Ns, alpha = incumbent
-
-    # Final polish: descend the exact objective from the incumbent's map.
-    # The lift of any in-budget M is feasible for the relaxation, so the
-    # polished point is adopted only when it strictly improves.
-    Ma_p, obj_p, alpha_p = _polish(
-        X, Zba, active, y, mlam, Ma, hp.gamma, cfg.tol
-    )
-    if obj_p < upper_best:
-        upper_best = obj_p
-        Ma, Ns, alpha = Ma_p, lift(Ma_p).slices, alpha_p
     N = np.zeros((d, d, d))
     N[active] = Ns
 
@@ -585,7 +519,8 @@ def _schur_separate(rows, Ma, Ns, gamma, eps):
 def _primal_alpha(U, y, mlam):
     """alpha = (U U' + m*lam*I)^{-1} y through a d x d solve.
 
-    By the Woodbury identity alpha = (y - U w) / (m*lam) with the primal
+    The gamma = 0 shortcut's dual weights on the rows U.  By the
+    Woodbury identity alpha = (y - U w) / (m*lam) with the primal
     ridge weights w of ridge_weights, so the m x m Gram of the rows U is
     never formed.
     """

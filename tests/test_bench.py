@@ -244,6 +244,8 @@ def test_sweep_fraction_rows(linear_csv):
         assert np.isfinite(mean) and std >= 0.0
     with pytest.raises(ValueError):
         sweep_fraction(spec, [0.0])
+    with pytest.raises(ValueError, match="at least one"):
+        sweep_fraction(spec, [])
 
 
 def test_onevsall_validation(digits_csv, tmp_path):

@@ -139,6 +139,19 @@ def test_sweep_writes_tsv(data_csv, tmp_path):
     assert len(lines) == 5  # header + 2 fractions x 2 methods
 
 
+def test_sweep_empty_fractions_rejected(data_csv, tmp_path, capsys):
+    """An empty --fractions is an error, with or without --beta."""
+    out = tmp_path / "sweep.tsv"
+    for beta in ([], ["--beta", "0.3"]):
+        code = main(
+            ["sweep", "--data", data_csv, "--out", str(out), "--fractions", "",
+             "--methods", "zero", "--train-size", "50", "--trials", "1"] + beta
+        )
+        assert code == 1
+        assert "at least one observed fraction" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_digits_one_vs_all(data_csv, tmp_path):
     rng = np.random.default_rng(31)
     digits = tmp_path / "digits.csv"
