@@ -31,7 +31,8 @@ solver never forms K: K acts as T on span Q and vanishes on its
 complement, so one r x r solve gives the ridge weights.
 relaxed_apply is the kernel-vector form: K(X0 rows, X rows) alpha for
 any rows X0, which gives dual predictions and kernel-vector products
-without forming either matrix.  Since a' K a is affine in (M, N) for a fixed
+without forming either matrix, in row blocks of a fixed byte size, so
+no n x d temporary either.  Since a' K a is affine in (M, N) for a fixed
 vector a, its coefficients (quad_factors) are also its gradient.
 
 Budgets are Frobenius balls: ||M||_F <= gamma and
@@ -48,6 +49,8 @@ from .dataset import Dataset
 from .imputation import impute_dataset
 
 FEASIBILITY_SLACK = 1e-9
+# Bytes of one relaxed_apply row block (256 KiB), small enough for L2.
+_BLOCK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -189,6 +192,11 @@ def relaxed_core(F, M, slices, active) -> np.ndarray:
     return 0.5 * (T + T.T)
 
 
+def _block_rows(d: int) -> int:
+    """Rows of a d-column float64 block that fits _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (8 * max(d, 1)))
+
+
 def relaxed_apply(X, Zb, M, slices, alpha, X0, Z0) -> np.ndarray:
     """K(X0 rows, X rows) alpha without forming either kernel.
 
@@ -205,12 +213,20 @@ def relaxed_apply(X, Zb, M, slices, alpha, X0, Z0) -> np.ndarray:
     part, so for any stack this is the cross block of relaxed_core's
     symmetrized matrix on the rows [X; X0].  Features no X row masks have
     V[:, k] = 0 but keep the M term where x0 masks them.  The masked
-    sum is the full row sum minus its observed part, so the only n x d
-    temporary is X0 P.  O(m d^2 + d^3) once plus O(d^2) per row.
+    sum is the full row sum minus its observed part.  X0 and Z0 are
+    read in blocks of _block_rows(d) rows, and each block's X0 P is
+    summed against its mask while in cache, so beyond the (n,) output
+    the only temporaries are one block's.  O(m d^2 + d^3) once plus
+    O(d^2) per row.
     """
     _, s, V = quad_factors(X, Zb, alpha)
     u0 = s + (M * V).sum(axis=0)
     P = M * s + 0.5 * np.einsum("krs,sk->rk", slices + slices.transpose(0, 2, 1), V)
-    observed = X0 @ P
-    observed *= Z0
-    return X0 @ (u0 + P.sum(axis=1)) - observed.sum(axis=1)
+    w = u0 + P.sum(axis=1)
+    n, d = X0.shape
+    rows = _block_rows(d)
+    out = np.empty(n)
+    for i in range(0, n, rows):
+        X0b, Z0b = X0[i : i + rows], Z0[i : i + rows]
+        out[i : i + rows] = X0b @ w - np.einsum("ij,ij->i", X0b @ P, Z0b)
+    return out

@@ -532,7 +532,8 @@ def predict_batch(sol: IrrSolution, test: Dataset) -> np.ndarray:
 
     Evaluates sum_i alpha_i k(x0, x_i) for every test row x0 through
     kernel.relaxed_apply: O(m d^2 + d^3) once plus O(d^2) per test
-    row, with no kernel matrix formed.
+    row, with no kernel matrix formed.  Memory is the O(n) output plus
+    one fixed-size block of test rows.
     """
     if test.d != sol.train.d:
         raise ValueError("test dimension does not match training dimension")

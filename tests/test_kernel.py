@@ -11,7 +11,7 @@ from imputed_ridge import (
     range_basis,
     relaxed_core,
 )
-from imputed_ridge.kernel import _basis, quad_factors, relaxed_apply
+from imputed_ridge.kernel import _basis, _block_rows, quad_factors, relaxed_apply
 from imputed_ridge.solver import _Rows
 from tests.conftest import random_corrupted
 from tests.master_reference import assert_rows_match, flat_row
@@ -125,6 +125,42 @@ def test_relaxed_apply_is_cross_block_of_core(rng):
         K = relaxed_core(_basis(X, Zb, active), M, N[active], active)
         want = K[m:, :m] @ alpha
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+
+def test_relaxed_apply_block_boundaries(rng):
+    """Row counts around the block size give the cross block of the core.
+
+    relaxed_apply walks X0 in blocks of _block_rows(d) rows, so a batch
+    one row short of a block, exactly one, one over and two plus a
+    partial one must all match the whole-matrix reference, and an empty
+    batch gives an empty float64 vector.
+    """
+    m = 7
+    for d in (1, 3, 16):
+        B = _block_rows(d)
+        train = random_corrupted(rng, m, d)
+        M, N = rng.standard_normal((d, d)), rng.standard_normal((d, d, d))
+        alpha = rng.standard_normal(m)
+        for n in (0, 1, B - 1, B, B + 1, 2 * B + 3):
+            test = random_corrupted(rng, n, d, beta=0.7)
+            got = relaxed_apply(train.X, 1.0 - train.Z, M, N, alpha, test.X, test.Z)
+            assert got.shape == (n,) and got.dtype == np.float64
+            if n == 0:
+                continue
+            # the core's cross block, 256 test rows at a time stacked
+            # under the training rows, so no n x n matrix is formed
+            X = np.concatenate([train.X, test.X])
+            Zb = 1.0 - np.concatenate([train.Z, test.Z])
+            active = np.flatnonzero(Zb.any(axis=0))
+            F = _basis(X, Zb, active)
+            want = np.empty(n)
+            for i in range(0, n, 256):
+                rows = np.r_[0:m, m + i : m + min(n, i + 256)]
+                K = relaxed_core(F[rows], M, N[active], active)
+                want[i : i + 256] = K[m:, :m] @ alpha
+            np.testing.assert_allclose(
+                got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max())
+            )
 
 
 def test_kernel_zero_point_is_gram(rng):

@@ -454,6 +454,23 @@ def test_solve_allocates_no_m_by_m_matrix():
     assert peak < m * m * 8 / 4
 
 
+def test_predict_allocates_no_n_by_d_array(rng):
+    """A large batch costs its (n,) output plus one fixed-size row block.
+
+    relaxed_apply walks the test rows in blocks of a fixed byte size, so
+    the peak stays far below one n x d float64 array (12.8 MB here).
+    """
+    sol = solve_irr(random_corrupted(rng, 40, 8), Hyperparams(lam=0.5, gamma=0.5))
+    test = random_corrupted(rng, 200_000, 8)
+    tracemalloc.start()
+    try:
+        pred = predict_batch(sol, test)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < pred.nbytes + 2**20
+
+
 def test_predict_single_matches_batch(rng):
     ds = random_corrupted(rng, 10, 3)
     sol = solve_irr(ds, Hyperparams(lam=0.5, gamma=0.5))
