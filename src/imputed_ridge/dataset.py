@@ -5,19 +5,28 @@ coordinates are recorded as zero and flagged in the mask.  Everything
 downstream (imputers, kernels, the solver) consumes this representation,
 so the loader and the normalizer are the only places that ever look at
 raw files or raw value ranges.
+
+Cost: ``load_csv`` reads the file in one ``csv.reader`` pass and parses
+every cell through C-level ``map`` calls with Python's ``float``, with no
+Python function call per cell; ``Dataset`` validation keeps at most one
+m x d boolean temporary alive at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
 # Cell contents treated as a missing feature value.
 MISSING_TOKENS = frozenset({"", "?", "na", "nan"})
+# What load_csv parses in place of a missing cell: float("0") is +0.0.
+_FILL = dict.fromkeys(MISSING_TOKENS, "0")
 
 
 class CsvFormatError(ValueError):
@@ -31,6 +40,10 @@ class Dataset:
     X: (m, d) feature matrix, zeros at masked entries.
     Z: (m, d) observation mask in {0, 1}.
     y: (m,) labels.
+
+    Construction rejects non-finite X or y, mask entries other than 0 and
+    1, and nonzero X at masked entries, with at most one m x d boolean
+    temporary alive at a time.
     """
 
     X: np.ndarray
@@ -48,11 +61,14 @@ class Dataset:
             raise ValueError("X and Z must be 2-d arrays of equal shape")
         if y.shape != (X.shape[0],):
             raise ValueError("y must have one entry per row of X")
-        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        # NaN propagates through min and max, so these four are finite
+        # exactly when every entry is.
+        bounds = (X.min(initial=0.0), X.max(initial=0.0), y.min(initial=0.0), y.max(initial=0.0))
+        if not all(map(math.isfinite, bounds)):
             raise ValueError("X and y must be finite")
-        if not np.all((Z == 0.0) | (Z == 1.0)):
+        if np.count_nonzero(Z == 1.0) != np.count_nonzero(Z):
             raise ValueError("mask entries must be 0 or 1")
-        if np.any(X[Z == 0.0] != 0.0):
+        if np.count_nonzero(np.logical_and(X, Z)) != np.count_nonzero(X):
             raise ValueError("masked entries of X must be stored as zero")
 
     @property
@@ -79,15 +95,34 @@ def _parse_cell(text, row, col):
     return value, 1.0
 
 
+def _check_row(row, i, width, label_idx):
+    """Raise the CsvFormatError the first fault of data row i earns, if any."""
+    if len(row) != width:
+        raise CsvFormatError(f"row {i}: expected {width} cells, found {len(row)}")
+    if _parse_cell(row[label_idx], i, label_idx)[1] == 0.0:
+        raise CsvFormatError(f"row {i}: label value is missing")
+    for j, cell in enumerate(row):
+        _parse_cell(cell, i, j)
+
+
 def load_csv(path, label_column=-1, has_header=False) -> Dataset:
     """Read a numeric CSV into a Dataset.
 
-    ``label_column`` is a zero-based index (negative counts from the end)
-    or, when ``has_header`` is true, a column name.  Cells equal to '?' or
-    empty are missing features; a missing label is an error.
+    ``label_column`` is a zero-based integer index (negative counts from
+    the end) or, when ``has_header`` is true, a column name.  Cells equal
+    to '?', 'na', 'nan' (any case, any padding) or empty are missing
+    features; a missing label is an error.
+
+    Cost: one ``csv.reader`` pass; the cells of all rows are stripped,
+    matched against the missing tokens and parsed with Python's ``float``
+    through C-level ``map`` calls, with no Python function call per cell,
+    and every fault check is vectorised.  Only once a check has found a
+    fault is the row holding the first one re-read cell by cell, to word
+    the error with its row and column (an unparseable cell stops the
+    parse, so its row is searched for from the top).
     """
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+        rows = [row for row in csv.reader(fh) if any(map(str.strip, row))]
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
 
@@ -107,33 +142,39 @@ def load_csv(path, label_column=-1, has_header=False) -> Dataset:
         except ValueError:
             raise ValueError(f"no column named {label_column!r}") from None
     else:
-        label_idx = int(label_column)
+        if isinstance(label_column, bool) or not hasattr(type(label_column), "__index__"):
+            raise ValueError(
+                f"label_column must be an integer index or a column name, got {label_column!r}"
+            )
+        label_idx = operator.index(label_column)
         if label_idx < 0:
             label_idx += width
     if not 0 <= label_idx < width:
         raise ValueError(f"label column {label_column} out of range for {width} columns")
 
-    m = len(rows)
-    d = width - 1
-    X = np.zeros((m, d))
-    Z = np.zeros((m, d))
-    y = np.zeros(m)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise CsvFormatError(
-                f"row {i}: expected {width} cells, found {len(row)}"
-            )
-        value, seen = _parse_cell(row[label_idx], i, label_idx)
-        if seen == 0.0:
-            raise CsvFormatError(f"row {i}: label value is missing")
-        y[i] = value
-        k = 0
-        for j, cell in enumerate(row):
-            if j == label_idx:
-                continue
-            X[i, k], Z[i, k] = _parse_cell(cell, i, j)
-            k += 1
-    return Dataset(X, Z, y)
+    # Rows before the first ragged one; faults in them are reported first.
+    ragged = np.flatnonzero(np.fromiter(map(len, rows), np.intp, len(rows)) != width)
+    m = int(ragged[0]) if ragged.size else len(rows)
+    cells = list(chain.from_iterable(islice(rows, m)))
+    tokens = list(map(str.lower, map(str.strip, cells)))
+    n = len(cells)
+    missing = np.fromiter(map(MISSING_TOKENS.__contains__, tokens), bool, n).reshape(m, width)
+    try:
+        values = np.fromiter(map(float, map(_FILL.get, tokens, cells)), float, n)
+    except ValueError:
+        for i in range(m):
+            _check_row(rows[i], i, width, label_idx)
+        raise
+    values = values.reshape(m, width)
+    faulty = np.flatnonzero(missing[:, label_idx] | ~np.isfinite(values).all(axis=1))
+    if faulty.size or ragged.size:
+        i = int(faulty[0]) if faulty.size else m
+        _check_row(rows[i], i, width, label_idx)
+
+    # np.delete keeps C order, which downstream rounding depends on.
+    X = np.delete(values, label_idx, axis=1)
+    Z = (~np.delete(missing, label_idx, axis=1)).astype(float)
+    return Dataset(X, Z, values[:, label_idx].copy())
 
 
 def normalize(ds: Dataset) -> Dataset:
