@@ -4,8 +4,9 @@
 A small synthetic table is corrupted three ways (feature-independent
 deletion, value-dependent deletion, and strided column blocks), the
 deletion rate is calibrated to hit a target observed fraction, and the
-zero / mean / per-feature-regression baselines are fit on the corrupted
-view and compared against the truth they never saw.
+zero / mean / per-feature-regression baselines, each an affine fill
+(M, b), are fit on the corrupted view and compared against the truth
+they never saw.
 
 Run it directly; it prints everything and takes about a second.
 """
@@ -16,11 +17,10 @@ from imputed_ridge import (
     CorruptionKind,
     CorruptionSpec,
     Dataset,
-    apply_baseline_matrix,
     calibrate_beta,
     fit_independent,
     fit_mean,
-    fit_zero,
+    impute_dataset,
 )
 from imputed_ridge.corruption import apply as corrupt
 
@@ -56,19 +56,20 @@ def main():
     Z = corrupt(spec, X)
     ds = Dataset(X * Z, Z, y)
     missing = Z == 0
-    for name, imp in (
-        ("zero", fit_zero()),
-        ("mean", fit_mean(ds)),
-        ("ind", fit_independent(ds)),
+    zero = np.zeros((d, d))
+    for name, M, b in (
+        ("zero", zero, 0.0),
+        ("mean", zero, fit_mean(ds)),
+        ("ind", fit_independent(ds), 0.0),
     ):
-        repaired = apply_baseline_matrix(imp, ds.X, ds.Z)
+        repaired = impute_dataset(M, ds.X, ds.Z, b)
         err = np.sqrt(((repaired - X)[missing] ** 2).mean())
         print(f"{name:5s} rmse on deleted entries {err:.4f}")
 
     # a one-row call fills that row exactly as the whole matrix does
-    imp = fit_independent(ds)
-    one = apply_baseline_matrix(imp, ds.X[:1], ds.Z[:1])[0]
-    same = np.allclose(one, apply_baseline_matrix(imp, ds.X, ds.Z)[0])
+    M = fit_independent(ds)
+    one = impute_dataset(M, ds.X[:1], ds.Z[:1])[0]
+    same = np.allclose(one, impute_dataset(M, ds.X, ds.Z)[0])
     print(f"one-row fill matches the matrix fill: {same}")
 
 

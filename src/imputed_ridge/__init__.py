@@ -22,12 +22,8 @@ from .corruption import (
     corrupt_independent,
 )
 from .imputation import (
-    BaselineImputer,
-    BaselineKind,
-    apply_baseline_matrix,
     fit_independent,
     fit_mean,
-    fit_zero,
     impute_dataset,
 )
 from .kernel import (

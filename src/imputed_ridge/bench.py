@@ -8,6 +8,11 @@ point by mean test RMSE across trials.  Tuning on the test fold is the
 reported protocol of the results being reproduced, kept as-is on
 purpose; it is not a recommended practice.
 
+Every method is an affine fill followed by ridge (``impute_dataset``;
+nocorr reads the clean folds, irr learns its map with the regressor).
+A method is a list of grid cells plus a scorer of one trial at one
+cell, and reports the first cell with the lowest mean test RMSE.
+
 All randomness is derived from the master seed through named
 subsequences, so a report is a pure function of its ExperimentSpec
 (runtime aside).
@@ -15,6 +20,7 @@ subsequences, so a report is a pure function of its ExperimentSpec
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -24,7 +30,7 @@ import numpy as np
 from . import corruption as corr
 from .corruption import CorruptionKind, CorruptionSpec, calibrate_beta
 from .dataset import Dataset, load_csv, normalize, split
-from .imputation import apply_baseline_matrix, fit_independent, fit_mean, fit_zero
+from .imputation import fit_independent, fit_mean, impute_dataset
 from .solver import Hyperparams, SolverConfig, predict_batch, ridge_weights, solve_irr
 from .theory import BoundInputs, generalization_gap, rademacher_bound
 
@@ -193,38 +199,44 @@ def _prepare_trials(ds, spec, beta):
     return out
 
 
-def _ridge_inputs(name, trial):
-    """The (train, test) feature matrices the ridge method ``name`` uses.
+def _rmse(y, pred):
+    resid = y - pred
+    return float(np.sqrt((resid @ resid) / y.shape[0]))
 
+
+def _ridge_scorer(name, trials):
+    """Scorer of the ridge method ``name``: test RMSE of trial t at cell (e,).
+
+    Each trial's folds are filled once and reused at every lambda = 2^e.
     nocorr sees the clean folds; zero, mean and ind fill the corrupted
-    folds with an imputer fitted on the training fold.
+    folds through the affine map (M, b) fitted on the training fold.
     """
-    if name == "nocorr":
-        return trial.train_clean.X, trial.test_clean.X
-    if name == "zero":
-        imp = fit_zero()
-    elif name == "mean":
-        imp = fit_mean(trial.train)
-    else:
-        imp = fit_independent(trial.train)
-    return tuple(apply_baseline_matrix(imp, f.X, f.Z) for f in (trial.train, trial.test))
+
+    @functools.cache
+    def folds(t):
+        trial = trials[t]
+        if name == "nocorr":
+            return trial.train_clean.X, trial.test_clean.X
+        M, b = np.zeros((trial.train.d, trial.train.d)), 0.0
+        if name == "mean":
+            b = fit_mean(trial.train)
+        elif name == "ind":
+            M = fit_independent(trial.train)
+        return tuple(impute_dataset(M, f.X, f.Z, b) for f in (trial.train, trial.test))
+
+    def score(t, cell):
+        Xtr, Xte = folds(t)
+        w = ridge_weights(Xtr, trials[t].train.y, 2.0 ** cell[0])
+        return _rmse(trials[t].test.y, Xte @ w), True
+
+    return score
 
 
-def _ridge_curve(Xtr, ytr, Xte, yte, exponents):
-    """Test RMSE of linear ridge, one value per lambda exponent."""
-    out = {}
-    for e in exponents:
-        resid = yte - Xte @ ridge_weights(Xtr, ytr, 2.0**e)
-        out[e] = float(np.sqrt((resid @ resid) / yte.shape[0]))
-    return out
-
-
-def _irr_cell(trial, le, ge, cfg):
-    hp = Hyperparams(lam=2.0**le, gamma=2.0**ge)
-    sol = solve_irr(trial.train, hp, cfg)
-    pred = predict_batch(sol, trial.test)
-    resid = trial.test.y - pred
-    return float(np.sqrt((resid @ resid) / trial.test.m)), sol.diagnostics.converged
+def _irr_score(trials, cfg, t, cell):
+    """Test RMSE of trial t at cell (lambda exponent, gamma exponent)."""
+    trial = trials[t]
+    sol = solve_irr(trial.train, Hyperparams(lam=2.0 ** cell[0], gamma=2.0 ** cell[1]), cfg)
+    return _rmse(trial.test.y, predict_batch(sol, trial.test)), sol.diagnostics.converged
 
 
 def _coarse_pairs(grid):
@@ -234,12 +246,8 @@ def _coarse_pairs(grid):
 
 def _refine_pairs(grid, center, done):
     le0, ge0 = center
-    cand = []
-    for le in (le0 - 1, le0, le0 + 1):
-        for ge in (ge0 - 1, ge0, ge0 + 1):
-            if le in grid and ge in grid and (le, ge) not in done:
-                cand.append((le, ge))
-    return cand
+    near = [(le, ge) for le in (le0 - 1, le0, le0 + 1) for ge in (ge0 - 1, ge0, ge0 + 1)]
+    return [(le, ge) for le, ge in near if le in grid and ge in grid and (le, ge) not in done]
 
 
 def _std(values):
@@ -249,10 +257,69 @@ def _std(values):
     return float(np.std(arr, ddof=1))
 
 
-def _pick_best(curves, exponents):
-    best_e = min(exponents, key=lambda e: float(np.mean([c[e] for c in curves])))
-    per_trial = tuple(c[best_e] for c in curves)
-    return best_e, per_trial
+def _score_cells(name, cells, score, n_trials, results, flags):
+    """Score each cell on every trial into results[cell], a list of
+    (rmse, converged) pairs, and append each solve's converged flag to flags."""
+    for cell in cells:
+        per = []
+        for t in range(n_trials):
+            try:
+                per.append(score(t, cell))
+            except Exception as exc:
+                where = f"trial {t}, method {name}"
+                if len(cell) == 2:
+                    where += f", lambda=2^{cell[0]}, gamma=2^{cell[1]}"
+                raise RuntimeError(f"{where}: {exc}") from exc
+        results[cell] = per
+        flags += [ok for _, ok in per]
+
+
+def _best(results):
+    """The first cell with the lowest mean RMSE, in evaluation order."""
+    return min(results, key=lambda c: float(np.mean([r for r, _ in results[c]])))
+
+
+def _run_method(name, spec, trials, flags):
+    """Score one method's grid cells and report its best one.
+
+    A ridge method's cells are the grid exponents.  IRR's are the
+    coarse pairs and then the pairs around the best of them, or the full
+    grid with ``spec.full_grid``.  Each solve's converged flag is
+    appended to flags.
+    """
+    results = {}
+    if name != "irr":
+        score = _ridge_scorer(name, trials)
+        cells = [(e,) for e in spec.grid]
+    else:
+        score = functools.partial(_irr_score, trials, spec.solver)
+        if spec.full_grid:
+            cells = [(le, ge) for le in spec.grid for ge in spec.grid]
+        else:
+            cells = _coarse_pairs(spec.grid)
+    _score_cells(name, cells, score, len(trials), results, flags)
+    if name == "irr" and not spec.full_grid:
+        cells = _refine_pairs(spec.grid, _best(results), set(results))
+        _score_cells(name, cells, score, len(trials), results, flags)
+
+    best = _best(results)
+    per_trial = tuple(r for r, _ in results[best])
+    notes = []
+    bad_total = sum(not ok for per in results.values() for _, ok in per)
+    if bad_total:
+        total = sum(len(per) for per in results.values())
+        notes.append(f"{bad_total} of {total} solves non-converged")
+    bad_best = sum(not ok for _, ok in results[best])
+    if bad_best:
+        notes.append(f"{bad_best} non-converged at the selected grid point")
+    return MethodResult(
+        rmse_mean=float(np.mean(per_trial)),
+        rmse_std=_std(per_trial),
+        best_lambda=2.0 ** best[0],
+        best_gamma=2.0 ** best[1] if len(best) == 2 else None,
+        per_trial=per_trial,
+        notes=tuple(notes),
+    )
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -295,80 +362,12 @@ def _run_on_dataset(spec: ExperimentSpec, ds: Dataset) -> ExperimentReport:
     fractions = [t.fraction for t in trials]
 
     methods = {}
-    cells_scored = 0
-    cells_flagged = 0
-
+    flags = []
     for name in spec.methods:
         if name == "nocorr" and spec.corruption == "native":
             notes.append("nocorr unavailable: native missingness has no uncorrupted view")
-        elif name != "irr":
-            curves = []
-            for t, trial in enumerate(trials):
-                try:
-                    Xtr, Xte = _ridge_inputs(name, trial)
-                    curves.append(
-                        _ridge_curve(Xtr, trial.train.y, Xte, trial.test.y, spec.grid)
-                    )
-                except Exception as exc:
-                    raise RuntimeError(f"trial {t}, method {name}: {exc}") from exc
-            cells_scored += len(spec.grid) * len(trials)
-            best_e, per_trial = _pick_best(curves, spec.grid)
-            methods[name] = MethodResult(
-                rmse_mean=float(np.mean(per_trial)),
-                rmse_std=_std(per_trial),
-                best_lambda=2.0**best_e,
-                best_gamma=None,
-                per_trial=per_trial,
-            )
-        else:  # irr
-            scores = {}
-            flags = {}
-
-            def eval_pairs(pair_list):
-                nonlocal cells_scored, cells_flagged
-                for le, ge in pair_list:
-                    per = []
-                    conv = []
-                    for t, trial in enumerate(trials):
-                        try:
-                            r, ok = _irr_cell(trial, le, ge, spec.solver)
-                        except Exception as exc:
-                            raise RuntimeError(
-                                f"trial {t}, method irr, "
-                                f"lambda=2^{le}, gamma=2^{ge}: {exc}"
-                            ) from exc
-                        per.append(r)
-                        conv.append(ok)
-                        cells_scored += 1
-                        if not ok:
-                            cells_flagged += 1
-                    scores[(le, ge)] = per
-                    flags[(le, ge)] = conv
-
-            if spec.full_grid:
-                eval_pairs([(le, ge) for le in spec.grid for ge in spec.grid])
-            else:
-                eval_pairs(_coarse_pairs(spec.grid))
-                center = min(scores, key=lambda p: float(np.mean(scores[p])))
-                eval_pairs(_refine_pairs(spec.grid, center, set(scores)))
-            best = min(scores, key=lambda p: float(np.mean(scores[p])))
-            per_trial = tuple(scores[best])
-            mnotes = []
-            bad_total = sum(c.count(False) for c in flags.values())
-            if bad_total:
-                total = sum(len(c) for c in flags.values())
-                mnotes.append(f"{bad_total} of {total} solves non-converged")
-            bad_best = flags[best].count(False)
-            if bad_best:
-                mnotes.append(f"{bad_best} non-converged at the selected grid point")
-            methods[name] = MethodResult(
-                rmse_mean=float(np.mean(per_trial)),
-                rmse_std=_std(per_trial),
-                best_lambda=2.0 ** best[0],
-                best_gamma=2.0 ** best[1],
-                per_trial=per_trial,
-                notes=tuple(mnotes),
-            )
+        else:
+            methods[name] = _run_method(name, spec, trials, flags)
 
     bounds = None
     if spec.report_bounds:
@@ -397,8 +396,8 @@ def _run_on_dataset(spec: ExperimentSpec, ds: Dataset) -> ExperimentReport:
         fraction_std=_std(fractions),
         methods=methods,
         notes=tuple(notes),
-        cells_scored=cells_scored,
-        cells_flagged=cells_flagged,
+        cells_scored=len(flags),
+        cells_flagged=flags.count(False),
         bounds=bounds,
         runtime_seconds=time.perf_counter() - t_start,
     )

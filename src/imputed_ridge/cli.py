@@ -98,15 +98,19 @@ def _spec_from_args(args) -> ExperimentSpec:
     )
 
 
-def _print_report(report):
+def _write_report(report, args):
+    """Write the JSON report to --out and the optional TSV to --tsv; print a summary."""
+    with open(args.out, "w") as fh:
+        fh.write(report.to_json())
+    if args.tsv:
+        write_report_tsv(report, args.tsv)
     frac = f"{report.fraction_mean:.3f}±{report.fraction_std:.3f}"
     print(f"{report.spec.dataset_path}: fraction remaining {frac}")
     for name, res in report.methods.items():
         hp = f"lambda={res.best_lambda:g}"
         if res.best_gamma is not None:
             hp += f", gamma={res.best_gamma:g}"
-        line = f"  {name:7s} rmse {res.rmse_mean:.4f}±{res.rmse_std:.4f}  ({hp})"
-        print(line)
+        print(f"  {name:7s} rmse {res.rmse_mean:.4f}±{res.rmse_std:.4f}  ({hp})")
         for note in res.notes:
             print(f"          note: {note}")
     for note in report.notes:
@@ -145,12 +149,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "bench":
             spec = _spec_from_args(args)
-            report = run_experiment(spec)
-            with open(args.out, "w") as fh:
-                fh.write(report.to_json())
-            if args.tsv:
-                write_report_tsv(report, args.tsv)
-            _print_report(report)
+            _write_report(run_experiment(spec), args)
         elif args.command == "sweep":
             # each row recalibrates to its own fraction, so a missing
             # --beta just needs any placeholder target
@@ -164,12 +163,7 @@ def main(argv=None) -> int:
         else:
             args.corruption = "column"
             spec = _spec_from_args(args)
-            report = run_onevsall(spec, args.digit)
-            with open(args.out, "w") as fh:
-                fh.write(report.to_json())
-            if args.tsv:
-                write_report_tsv(report, args.tsv)
-            _print_report(report)
+            _write_report(run_onevsall(spec, args.digit), args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,6 +12,9 @@ from enum import Enum
 
 import numpy as np
 
+# how close calibrate_beta's averaged observed fraction must come to the target
+TOL = 0.01
+
 
 class CorruptionKind(Enum):
     INDEPENDENT = "independent"
@@ -121,8 +124,8 @@ def apply(spec: CorruptionSpec, X) -> np.ndarray:
     return corrupt_column_block(X, spec.block_size, spec.eligible_blocks, spec.seed)
 
 
-def calibrate_beta(X, kind, target_fraction, seed, tol=0.01):
-    """Find beta so the expected observed fraction hits a target.
+def calibrate_beta(X, kind, target_fraction, seed):
+    """Find beta so the expected observed fraction hits a target within TOL.
 
     Bisection on beta with common random numbers: the same five mask
     seeds are reused at every trial point, which makes the averaged
@@ -144,14 +147,14 @@ def calibrate_beta(X, kind, target_fraction, seed, tol=0.01):
         fracs = [corrupt(X, beta, int(s)).mean() for s in sub_seeds]
         return float(np.mean(fracs))
 
-    if abs(1.0 - target_fraction) <= tol:
+    if abs(1.0 - target_fraction) <= TOL:
         return 0.0
     floor = observed(1.0)
-    if target_fraction < floor - tol:
+    if target_fraction < floor - TOL:
         raise ValueError(
             f"target fraction {target_fraction} below process floor {floor:.3f}"
         )
-    if abs(floor - target_fraction) <= tol:
+    if abs(floor - target_fraction) <= TOL:
         return 1.0
 
     # observed() is monotone decreasing in beta under common random numbers
@@ -160,7 +163,7 @@ def calibrate_beta(X, kind, target_fraction, seed, tol=0.01):
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         frac = observed(mid)
-        if abs(frac - target_fraction) <= tol:
+        if abs(frac - target_fraction) <= TOL:
             break
         if frac > target_fraction:
             lo = mid

@@ -1,4 +1,5 @@
 import json
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from imputed_ridge import (
     split,
     sweep_fraction,
 )
+from imputed_ridge import bench
 from imputed_ridge.bench import (
     canonical_methods,
     derive_seed,
@@ -325,3 +327,99 @@ def test_write_sweep_tsv(tmp_path):
     assert lines[0] == "fraction\tmethod\trmse_mean\trmse_std"
     assert lines[1].startswith("0.9\tzero\t0.123457")
     assert len(lines) == 3
+
+
+def test_experiment_calls_through_bench_attributes(linear_csv, monkeypatch):
+    """IRR solves and predictions, and the baseline fits, go through the
+    names the bench module binds, one solve and one prediction per cell
+    and trial, one fit per trial and ridge method."""
+    solves, preds, means, maps = [], [], [], []
+
+    def counted(name, log):
+        real = getattr(bench, name)
+
+        def call(*args, **kwargs):
+            assert not kwargs
+            out = real(*args)
+            log.append((args, out))
+            return out
+
+        monkeypatch.setattr(bench, name, call)
+
+    counted("solve_irr", solves)
+    counted("predict_batch", preds)
+    counted("fit_mean", means)
+    counted("fit_independent", maps)
+    spec = base_spec(linear_csv, methods=("mean", "ind", "irr"))
+    report = run_experiment(spec)
+
+    ridge_cells = 2 * len(spec.grid) * spec.trials
+    assert len(solves) == report.cells_scored - ridge_cells > 0
+    assert len(preds) == len(solves)
+    for (args, sol), (pargs, _) in zip(solves, preds):
+        train, hp, cfg = args
+        assert train.m == spec.train_size and cfg is spec.solver
+        assert np.log2(hp.lam) in spec.grid and np.log2(hp.gamma) in spec.grid
+        sol_arg, test = pargs
+        assert sol_arg is sol and test.m == report.n_rows - spec.train_size
+    assert len(means) == len(maps) == spec.trials
+
+
+@pytest.mark.parametrize("full_grid", [False, True])
+def test_ties_pick_first_cell(linear_csv, monkeypatch, full_grid):
+    """Equal RMSE in every cell: each method reports its first cell in
+    evaluation order, the first grid exponent (and the first coarse cell)."""
+    sol = types.SimpleNamespace(diagnostics=types.SimpleNamespace(converged=True))
+    monkeypatch.setattr(bench, "solve_irr", lambda train, hp, cfg: sol)
+    monkeypatch.setattr(bench, "predict_batch", lambda s, test: np.zeros(test.m))
+    monkeypatch.setattr(bench, "ridge_weights", lambda X, y, lam: np.zeros(X.shape[1]))
+    grid = (-2, 0, -6, -4)  # neither ascending nor descending
+    spec = base_spec(linear_csv, grid=grid, full_grid=full_grid)
+    report = run_experiment(spec)
+    rmses = {res.rmse_mean for res in report.methods.values()}
+    assert len(rmses) == 1
+    for name, res in report.methods.items():
+        assert res.best_lambda == 2.0**-2, name
+        assert res.best_gamma == (2.0**-2 if name == "irr" else None), name
+
+
+@pytest.mark.parametrize(
+    "attr, method, where",
+    [
+        ("solve_irr", "irr", "trial 0, method irr, lambda=2^-6, gamma=2^-6"),
+        ("predict_batch", "irr", "trial 0, method irr, lambda=2^-6, gamma=2^-6"),
+        ("ridge_weights", "zero", "trial 0, method zero"),
+        ("fit_mean", "mean", "trial 0, method mean"),
+        ("fit_independent", "ind", "trial 0, method ind"),
+    ],
+)
+def test_failure_names_trial_method_and_cell(linear_csv, monkeypatch, attr, method, where):
+    def fail(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(bench, attr, fail)
+    with pytest.raises(RuntimeError) as info:
+        run_experiment(base_spec(linear_csv, methods=(method,)))
+    assert str(info.value) == f"{where}: boom"
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_pruned_search_refines_around_best_coarse_cell(linear_csv, monkeypatch):
+    """Test RMSE is the distance from (2^-2, 2^-1): the coarse stage finds
+    (2^-3, 2^0), and only the refinement around it reaches the optimum."""
+    def solve(train, hp, cfg):
+        return types.SimpleNamespace(hp=hp, diagnostics=types.SimpleNamespace(converged=True))
+
+    def predict(sol, test):
+        le, ge = np.log2(sol.hp.lam), np.log2(sol.hp.gamma)
+        return test.y + abs(le + 2) + abs(ge + 1)
+
+    monkeypatch.setattr(bench, "solve_irr", solve)
+    monkeypatch.setattr(bench, "predict_batch", predict)
+    spec = base_spec(linear_csv, methods=("irr",), grid=tuple(range(-6, 1)))
+    report = run_experiment(spec)
+    res = report.methods["irr"]
+    assert (res.best_lambda, res.best_gamma) == (2.0**-2, 2.0**-1)
+    assert res.per_trial == (0.0, 0.0)
+    # 9 coarse cells, then 5 unscored neighbours of (-3, 0) inside the grid
+    assert report.cells_scored == 14 * spec.trials

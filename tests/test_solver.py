@@ -236,7 +236,7 @@ def test_default_solve_agrees_with_tight_reference():
                 assert got.objective <= (1.0 + 3e-3) * ref.objective, (seed, lam, gamma)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: master value is not a lower bound")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: master value is not a lower bound")
 def test_reported_bound_below_a_point_of_c():
     """objective - gap, the master value, is at most any point of C.
 
