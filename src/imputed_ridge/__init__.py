@@ -31,7 +31,6 @@ from .kernel import (
     build_km,
     build_kmn,
     lift,
-    range_basis,
     relaxed_core,
 )
 from .solver import (

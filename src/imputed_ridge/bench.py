@@ -85,6 +85,9 @@ class ExperimentSpec:
             raise ValueError("trials must be at least 1")
         if not self.grid:
             raise ValueError("grid must be nonempty")
+        if len(set(self.grid)) < len(self.grid):
+            # a repeated exponent would re-solve its cells and count them twice
+            raise ValueError(f"grid repeats an exponent: {self.grid}")
         if self.corruption != "native" and not isinstance(self.corruption, CorruptionSpec):
             raise ValueError("corruption must be a CorruptionSpec or 'native'")
         if self.target_fraction is not None and not 0.0 < self.target_fraction <= 1.0:

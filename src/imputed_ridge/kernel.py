@@ -18,17 +18,21 @@ sum_k D_k X (N_k - M[:, k] M[:, k]') X' D_k with D_k = diag(Zb[:, k]),
 it is PSD wherever every N_k - M[:, k] M[:, k]' is, whatever the data;
 the solver keeps its iterates in that set.
 
-This module is the only place that knows the formula, in two forms.
+This module is the only place that knows the formula, in three forms.
 Whatever (M, N) is, the matrix factors through X's columns and their
 masked copies, B = [X, Zb_k * X for the a features k with a masked
 entry]: K = B S(M, N) B' with a c x c matrix S, c = d(1 + a), whose
 blocks are I on the X block, M[:, k] e_k' between the X block and
 block k, and N_k on block k.  relaxed_core computes F S F' for any F
-in B's column layout.  With F = B it is the m x m matrix (build_kmn).
-With B = Q R (range_basis: Q orthonormal m x r, r <= c, span Q holding
-the range of B) and F = R it is the r x r core T of K = Q T Q'.  So the
-solver never forms K: K acts as T on span Q and vanishes on its
-complement, so one r x r solve gives the ridge weights.
+in B's column layout; with F = B it is the m x m matrix (build_kmn).
+On the Schur set, where every W_k = N_k - M[:, k] M[:, k]' is PSD, S
+has the factor L of schur_factor, S = L L': the identity on the X block
+with M[:, k] routed into column k from block k, then one column per
+eigenpair of W_k whose eigenvalue is above 1e-12 of the largest, its
+eigenvector scaled by the root of that eigenvalue.  So K = (B L)(B L)'
+there, B L's first d columns are the M-imputed rows, and B L is m x
+c_eff with c_eff = d plus the eigenpairs kept.  The solver forms
+G = B'B once per solve and then needs only L, c x c_eff, per iterate.
 relaxed_apply is the kernel-vector form: K(X0 rows, X rows) alpha for
 any rows X0, which gives dual predictions and kernel-vector products
 without forming either matrix, in row blocks of a fixed byte size, so
@@ -138,43 +142,40 @@ def quad_factors(X, Zb, a):
 
 def _basis(X, Zb, active):
     """B = [X, Zb[:, k] * X for k in active], the m x d(1 + a) factor of K."""
-    return np.concatenate([X] + [Zb[:, [k]] * X for k in active], axis=1)
+    m, d = X.shape
+    W = np.concatenate([np.ones((m, 1)), Zb[:, active]], axis=1)  # each block's row weights
+    return (W[:, :, None] * X[:, None, :]).reshape(m, W.shape[1] * d)
 
 
-def range_basis(X, Zb, active):
-    """Factor B = [X, Zb[:, k] * X for k in active] as B = Q R.
+def schur_factor(Ma, roots, active):
+    """L, c x c_eff, with S(M, N) = L L' at a point of the Schur set.
 
-    Every relaxed Gram is B S(M, N) B', so Q is an orthonormal basis
-    holding the range of every K(M, N) and one factorization per
-    training set serves every outer iteration.  The all-zero columns of
-    B (column k of block k always is one, as masked entries are stored
-    as zero) are left out of a plain Householder QR of the rest, and
-    each row of R whose norm is at most 1e-12 of the largest is dropped
-    with its column of Q: such a column q has q'B ~ 0, so the range of B
-    stays in span Q.  Q is m x r and R is r x c with its columns in B's
-    order, zero in the columns left out.  r <= c, and r is the rank of
-    B when B's nonzero columns are independent; on a rank-deficient B
-    it may exceed the rank.  An identically zero X gives r = 0.
+    ``Ma`` holds the columns M_k, k in ``active``, and ``roots[j]`` a d x d
+    R_j with R_j R_j' = N_k - M_k M_k', k = active[j].  L's first d
+    columns are the identity on the X block with M_k routed into column
+    k from block k; then come R_j's columns in block j's rows, but for
+    those whose squared norm is at most 1e-12 of the largest of all.
     """
-    B = _basis(X, Zb, active)
-    live = np.flatnonzero(B.any(axis=0))
-    Q, R = np.linalg.qr(B[:, live])
-    norms = np.linalg.norm(R, axis=1)
-    keep = norms > 1e-12 * norms.max(initial=0.0)
-    R_b = np.zeros((int(keep.sum()), B.shape[1]))
-    R_b[:, live] = R[keep]
-    return Q[:, keep], R_b
+    d, a = Ma.shape
+    sq = np.einsum("jsi,jsi->ji", roots, roots)
+    jj, ii = np.nonzero(sq > 1e-12 * sq.max(initial=0.0))
+    L = np.zeros((d * (1 + a), d + jj.size))
+    L[:d, :d] = np.eye(d)
+    Lb = L[d:].reshape(a, d, d + jj.size)  # Lb[j]: block j's rows
+    Lb[np.arange(a), :, active] = Ma.T
+    Lb[jj, :, d + np.arange(jj.size)] = roots[jj, :, ii]
+    return L
 
 
 def relaxed_core(F, M, slices, active) -> np.ndarray:
-    """F S(M, N) F' for a factor F in B's column layout.
+    """F S(M, N) F' for a factor F in B's column layout, at any (M, N).
 
     ``slices`` holds one d x d matrix per index in ``active`` (features
     with at least one masked entry); inactive features contribute
-    nothing because their Zb column is identically zero.  F = R from
-    range_basis gives the r x r core T of K = Q T Q'; F = B gives K.
-    With F split into d-column blocks F_0 (the X block) and F_k
-    (block k):
+    nothing because their Zb column is identically zero.  F = B gives
+    the m x m kernel of build_kmn; rows of B for any stack of rows give
+    its blocks.  With F split into d-column blocks F_0 (the X block)
+    and F_k (block k):
 
         F S F' = F_0 F_0' + sum_k [(F_k M[:, k]) F_0[:, k]' + transpose]
                           + sum_k F_k N_k F_k'

@@ -16,10 +16,10 @@ X' D_k with D_k = diag(Zb[:, k]), so every kernel on C is PSD, for any
 data; C holds every exact lift N_k = M_k M_k' and so still relaxes
 exact imputation.  Each outer iteration:
 
-  1. at the current point of C, build the r x r core T of the kernel
-     K = Q T Q' on the basis Q of kernel.range_basis, computed once per
-     solve; solve the ridge system for the maximizing alpha through
-     one r x r solve of the positive definite T + m*lam*I, in O(m r),
+  1. at the current point of C, K = (B L)(B L)' with B the m x c basis
+     of kernel.py and L its c x c_eff Schur factor (kernel.schur_factor)
+     from the last separation's eigenpairs; solve the ridge system for
+     the maximizing alpha through one c_eff x c_eff solve (_schur_ridge)
      and add alpha to an active set;
   2. re-minimize the active-set maximum over the Frobenius balls with
      projected subgradient steps, in plane coordinates: the iterate is
@@ -37,13 +37,16 @@ same factorization (quad_factors): its pair (s, V) gives one new row
 and column of each Gram in O(k d a), and one inner iteration costs
 O(k) for k planes and cuts, whatever d.  The iterate's (M, N) is
 rebuilt from its coefficients once per outer iteration.  No step of a
-solve forms an m x m matrix: the per-iteration work is O(m r) plus
-the r x r core, r <= d(1 + a).  The solve returns the incumbent: the
-point of C with the lowest objective among those it evaluated.
+solve forms an m x m matrix: O(m c^2) once for G = B'B, then per
+outer iteration O(m c) for one product with B, O(m d a) for the new
+plane and O(c^2 c_eff + c_eff^3) for the ridge step; c = d(1 + a), and
+c_eff <= c is d plus the eigenvalues of the blocks N_k - M_k M_k' above
+1e-12 of the largest.  The solve returns the incumbent: the point of C
+with the lowest objective among those it evaluated.
 
-Ridge on explicit rows U (the gamma = 0 shortcut and the benchmark's
-baselines) has one implementation, ridge_weights: the d x d normal
-equations, never the m x m Gram U U'.
+Primal ridge on explicit rows U (the benchmark's baselines) is
+ridge_weights: the d x d normal equations, never the m x m Gram U U';
+the gamma = 0 shortcut is the ridge step above with B = X and L = I.
 """
 
 from __future__ import annotations
@@ -57,13 +60,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dataset import Dataset
-from .kernel import (
-    LiftedTensor,
-    quad_factors,
-    range_basis,
-    relaxed_apply,
-    relaxed_core,
-)
+from .kernel import LiftedTensor, _basis, quad_factors, relaxed_apply, schur_factor
 
 
 @dataclass(frozen=True)
@@ -287,8 +284,8 @@ def _master(rows, gamma, inner_steps, eps):
     dM = np.diag(GM).tolist()
     dN = np.diag(GN).tolist()
     # G[j] stacks row j of each Gram, so that a step of length tau along
-    # row j adds D G[j] to P[1:], D = diag(tau/sM, tau/sN)
-    G = np.stack([GM, GN], axis=1)
+    # row j adds D * G[j] to P[1:], D's rows filled with tau/sM and tau/sN
+    G = list(np.stack([GM, GN], axis=1))
     cM, cN = rows.cM.tolist(), rows.cN.tolist()
     # row 0 holds the constants, the cuts' negated, so that u = w . P
     # is the planes' values, then the cuts' values negated, with
@@ -298,8 +295,10 @@ def _master(rows, gamma, inner_steps, eps):
     PG = P[1:]
     w = np.array([1.0, -1.0, -1.0])
     u = np.empty(k)
-    u_planes, u_cuts = u[:npl], u[npl:]
-    D = np.empty((2, 1))
+    wdot, uitem = w.dot, u.item  # bound once for the loop
+    plane_argmax, cut_argmax = u[:npl].argmax, u[npl:].argmax
+    D = np.empty((2, k))
+    D0, D1 = D
     DG = np.empty((2, k))
     sM = sN = 1.0
     qM = float(rows.cM @ P[1])
@@ -309,18 +308,18 @@ def _master(rows, gamma, inner_steps, eps):
     step_scale = None
 
     for t in range(1, inner_steps + 1):
-        w.dot(P, out=u)
+        wdot(P, out=u)
         viol = 0.0
         if have_cuts:
-            j = npl + int(u_cuts.argmax())
-            viol = -u.item(j)
+            j = npl + int(cut_argmax())
+            viol = -uitem(j)
 
         if viol < -eps:
             gsq = dM[j] + dN[j]
             tau = -viol / gsq if gsq > 0.0 else 0.0
         else:
-            j = int(u_planes.argmax())
-            val = u.item(j)
+            j = int(plane_argmax())
+            val = uitem(j)
             if val < best_val:
                 best_val = val
                 best = (cM.copy(), cN.copy(), sM, sN)
@@ -340,7 +339,8 @@ def _master(rows, gamma, inner_steps, eps):
             stepM, stepN = tau / sM, tau / sN
             cM[j] += stepM
             cN[j] += stepN
-            D[0, 0], D[1, 0] = stepM, stepN
+            D0.fill(stepM)
+            D1.fill(stepN)
             np.multiply(G[j], D, out=DG)
             PG += DG
 
@@ -400,8 +400,9 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
         )
 
     if hp.gamma == 0.0 or a == 0:
-        # no imputation freedom, or nothing missing: plain ridge on X
-        alpha = _primal_alpha(X, y, mlam)
+        # no imputation freedom, or nothing missing: plain ridge on X,
+        # whose basis is X and Schur factor I
+        alpha = _schur_ridge(X, X.T @ X, X.T @ y, y, np.eye(d), mlam)
         diag = Diagnostics(iterations=1, gap=0.0, cuts=0, objective=float(y @ alpha),
                            converged=True)
         return IrrSolution(
@@ -413,18 +414,18 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
             diagnostics=diag,
         )
 
-    Qb, Rb = range_basis(X, Zb, active)
+    B = _basis(X, Zb, active)
+    G, By = B.T @ B, B.T @ y
     rows = _Rows(d, a)
-    Ma, Ns = np.zeros((d, a)), np.zeros((a, d, d))
+    Ma, Ns, roots = np.zeros((d, a)), np.zeros((a, d, d)), np.zeros((a, d, d))
 
     upper_best = np.inf
     lower = -np.inf
     converged = False
 
     for it in range(1, cfg.max_outer + 1):
-        # (Ma, Ns) lies in C, so K + m*lam*I is positive definite
-        T = relaxed_core(Rb, _scatter(Ma, active, d), Ns, active)
-        alpha = _core_solve(Qb, T, y, mlam)
+        # (Ma, Ns) lies in C, where roots factor its blocks N_k - M_k M_k'
+        alpha = _schur_ridge(B, G, By, y, schur_factor(Ma, roots, active), mlam)
         f_cur = float(y @ alpha)
         if f_cur < upper_best:
             upper_best = f_cur
@@ -439,11 +440,11 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
             break
 
         rows.cM, rows.cN, lower = _master(rows, hp.gamma, cfg.inner_steps, cfg.eps_psd)
-        Ma, Ns = _schur_separate(rows, *rows.iterate(hp.gamma), hp.gamma, cfg.eps_psd)
+        Ma, Ns, roots = _schur_separate(rows, *rows.iterate(hp.gamma), hp.gamma, cfg.eps_psd)
 
     Ma, Ns, alpha = incumbent
-    N = np.zeros((d, d, d))
-    N[active] = Ns
+    M, N = np.zeros((d, d)), np.zeros((d, d, d))
+    M[:, active], N[active] = Ma, Ns
 
     diag = Diagnostics(
         iterations=it,
@@ -454,7 +455,7 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
     )
     return IrrSolution(
         alpha=alpha,
-        M=_scatter(Ma, active, d),
+        M=M,
         N=LiftedTensor(N, hp.gamma**2),
         train=train,
         hp=hp,
@@ -462,26 +463,25 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
     )
 
 
-def _scatter(Ma, active, d):
-    M = np.zeros((d, d))
-    M[:, active] = Ma
-    return M
+def _schur_ridge(B, G, By, y, L, mlam):
+    """Dual ridge weights alpha = (Phi Phi' + m*lam*I)^{-1} y for Phi = B L.
 
+    By Woodbury alpha = (y - Phi v) / (m*lam), (L' G L + m*lam*I) v = L' B'y,
+    with G = B'B and B'y formed once per solve: O(m c + c^2 c_eff + c_eff^3)
+    for an m x c basis B and a c x c_eff factor L.  The matrix solved has
+    eigenvalues >= m*lam whatever the rank of B; X = 0 gives y / (m*lam).
+    With L = schur_factor at a point of C, K - Phi Phi' is
+    sum_k D_k X E_k X' D_k, E_k the part of N_k - M_k M_k' that L drops,
+    ||E_k|| <= 1e-12 gamma^2.  As ||alpha|| <= ||y|| / (m*lam), past rounding
 
-def _core_solve(Q, T, y, mlam):
-    """Dual ridge solve through the factored kernel K = Q T Q'.
+        ||(K + m*lam*I) alpha - y|| <= 1e-12 gamma^2 a ||X||_2^2 ||y|| / (m*lam)
 
-    alpha = (K + m*lam*I)^{-1} y splits into span Q, where the kernel
-    acts as the r x r core T, and its complement, where K vanishes:
-
-        alpha = Q (T + m*lam*I)^{-1} Q'y + (y - Q Q'y) / (m*lam).
-
-    O(m r) plus one r x r solve for an m x r basis.  T must be positive
-    semidefinite, as it is at every point of the Schur set C.
+    for a masked features.
     """
-    qy = Q.T @ y
-    shifted = T + mlam * np.eye(T.shape[0])
-    return Q @ (np.linalg.solve(shifted, qy) - qy / mlam) + y / mlam
+    H = L.T @ G @ L
+    H.flat[:: H.shape[0] + 1] += mlam
+    v = np.linalg.solve(H, L.T @ By)
+    return (y - B @ (L @ v)) / mlam
 
 
 def _schur_separate(rows, Ma, Ns, gamma, eps):
@@ -496,7 +496,9 @@ def _schur_separate(rows, Ma, Ns, gamma, eps):
     it is const u0^2, s = u0 e_k and V with v as its only column, k.
     The point returned is (t Ma, t^2 N'), N'_k = M_k M_k' plus the
     block's positive part, with t <= 1 the largest factor inside both
-    balls; it is (Ma, Ns) itself when no block is negative.
+    balls; it is (Ma, Ns) itself when no block is negative.  Returned
+    with it are the roots U_k diag(sqrt(w_k)) of its blocks
+    N_k - M_k M_k' = U_k diag(w_k) U_k', w_k >= 0, for schur_factor.
     """
     d, a = Ma.shape
     MM = np.einsum("rk,sk->krs", Ma, Ma)
@@ -509,22 +511,12 @@ def _schur_separate(rows, Ma, Ns, gamma, eps):
         rows.add(u0 * u0, s, V, cut=True)
     neg = w[:, 0] < 0.0
     if not neg.any():
-        return Ma, Ns
-    plus = (U * np.maximum(w, 0.0)[:, None, :]) @ U.transpose(0, 2, 1)
+        return Ma, Ns, U * np.sqrt(w)[:, None, :]
+    w = np.maximum(w, 0.0)
+    plus = (U * w[:, None, :]) @ U.transpose(0, 2, 1)
     Ns = np.where(neg[:, None, None], MM + plus, Ns)
     t2 = _into_ball(Ns, gamma * gamma)
-    return Ma * math.sqrt(t2), Ns * t2
-
-
-def _primal_alpha(U, y, mlam):
-    """alpha = (U U' + m*lam*I)^{-1} y through a d x d solve.
-
-    The gamma = 0 shortcut's dual weights on the rows U.  By the
-    Woodbury identity alpha = (y - U w) / (m*lam) with the primal
-    ridge weights w of ridge_weights, so the m x m Gram of the rows U is
-    never formed.
-    """
-    return (y - U @ ridge_weights(U, y, mlam / U.shape[0])) / mlam
+    return Ma * math.sqrt(t2), Ns * t2, U * np.sqrt(t2 * w)[:, None, :]
 
 
 def predict_batch(sol: IrrSolution, test: Dataset) -> np.ndarray:

@@ -104,6 +104,8 @@ def test_spec_validation(linear_csv):
         base_spec(linear_csv, trials=0)
     with pytest.raises(ValueError):
         base_spec(linear_csv, grid=())
+    with pytest.raises(ValueError, match="grid repeats an exponent"):
+        base_spec(linear_csv, grid=(-2, -2, 0))
     with pytest.raises(ValueError):
         base_spec(linear_csv, corruption="typo")
     with pytest.raises(ValueError):

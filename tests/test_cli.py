@@ -88,6 +88,17 @@ def test_bench_missing_rate_is_error(data_csv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_bench_repeated_grid_exponent_is_error(data_csv, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(
+        ["bench", "--data", data_csv, "--out", str(out), "--beta", "0.5",
+         "--trials", "1", "--train-size", "40", "--grid=-2,-2,0"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: grid repeats an exponent")
+    assert not out.exists()
+
+
 def test_bench_nonexistent_file(tmp_path, capsys):
     code = main(
         ["bench", "--data", str(tmp_path / "nope.csv"), "--out",

@@ -7,11 +7,17 @@ from imputed_ridge import (
     build_km,
     build_kmn,
     corrupt_independent,
+    impute_dataset,
     lift,
-    range_basis,
     relaxed_core,
 )
-from imputed_ridge.kernel import _basis, _block_rows, quad_factors, relaxed_apply
+from imputed_ridge.kernel import (
+    _basis,
+    _block_rows,
+    quad_factors,
+    relaxed_apply,
+    schur_factor,
+)
 from imputed_ridge.solver import _Rows
 from tests.conftest import random_corrupted
 from tests.master_reference import assert_rows_match, flat_row
@@ -246,70 +252,83 @@ def test_gradient_matches_finite_differences(rng):
         assert_rows_match(rows, flats, dM, rng)
 
 
-def test_min_eig_low_rank_psd_reports_zero(rng):
-    # rank-deficient PSD matrix B B' with the factors taken by
-    # range_basis from the raw factor B (no active columns): the core
-    # is R R' and the nullspace supplies an exact zero
-    B = rng.standard_normal((30, 4))
-    Q, R = range_basis(B, np.zeros_like(B), [])
-    assert Q.shape == (30, 4) and R.shape == (4, 4)
-    np.testing.assert_allclose(Q @ R, B, atol=1e-12)
-    T = relaxed_core(R, np.zeros((4, 4)), np.zeros((0, 4, 4)), [])
-    np.testing.assert_allclose(Q @ T @ Q.T, B @ B.T, atol=1e-10)
-    # the core is PSD and the kernel vanishes on the complement of span Q,
-    # which gives B B' its 26 zero eigenvalues
-    assert np.linalg.eigvalsh(T)[0] >= 0.0
-    np.testing.assert_allclose((np.eye(30) - Q @ Q.T) @ (B @ B.T), 0.0, atol=1e-10)
+def _point_of_c(rng, d, active, rank):
+    """(M, N, roots) with N_k = M_k M_k' + R_k R_k' on the active features.
+
+    R_k is d x d with rank random columns, the rest zero, so rank 0 is
+    the exact lift.
+    """
+    M = rng.standard_normal((d, d))
+    roots = rng.standard_normal((active.size, d, d))
+    roots[:, :, rank:] = 0.0
+    N = np.zeros((d, d, d))
+    N[active] = np.einsum("rj,sj->jrs", M[:, active], M[:, active])
+    N[active] += roots @ roots.transpose(0, 2, 1)
+    return M, LiftedTensor(N, float(np.linalg.norm(N)) + 1.0), roots
 
 
-def test_range_basis_holds_relaxed_kernel(rng):
-    # 30 rows leave a complement to span B; the 4-row mask with one
-    # missing entry per feature makes span B all of R^4
+def test_schur_factor_holds_relaxed_kernel(rng):
+    """B L L' B' is the relaxed kernel at points of C, and B L starts with
+    the imputed rows.
+
+    Five data shapes: 30 rows, a 4-row mask with one missing entry per
+    feature, feature 0 missing in every row (its block Zb[:, 0] * X is X
+    itself, so B repeats d columns and B'B is singular), X = 0, and
+    nothing missing (B = X, L = I, K = X X' of rank 4 in 30 rows).  B
+    equals its block list bit for bit.  The roots have 0 (the exact
+    lift), 1 or d nonzero columns, and L keeps exactly the nonzero ones.
+    """
     Z4 = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
-    X4 = rng.random((4, 3))
-    for ds in (random_corrupted(rng, 30, 3), Dataset(X4 * Z4, Z4, np.zeros(4))):
-        m = ds.m
+    Zdup = corrupt_independent(rng.random((30, 4)), 0.6, 7)
+    Zdup[:, 0] = 0.0
+    Z0 = np.ones((12, 3))
+    Z0[::3, 0] = Z0[1::4, 2] = 0.0
+    cases = [
+        random_corrupted(rng, 30, 3),
+        Dataset(rng.random((4, 3)) * Z4, Z4, np.zeros(4)),
+        Dataset(rng.random((30, 4)) * Zdup, Zdup, np.zeros(30)),
+        Dataset(np.zeros((12, 3)), Z0, np.zeros(12)),
+        Dataset(rng.random((30, 4)), np.ones((30, 4)), np.zeros(30)),
+    ]
+    for ds in cases:
+        d = ds.d
         Zb = 1.0 - ds.Z
         active = np.flatnonzero(Zb.any(axis=0))
-        Q, R = range_basis(ds.X, Zb, active)
-        np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-12)
-        B = np.concatenate([ds.X] + [Zb[:, [k]] * ds.X for k in active], axis=1)
-        np.testing.assert_allclose(Q @ R, B, atol=1e-12)
-        M, N = rng.standard_normal((3, 3)), random_lifted(rng, 3)
-        K = build_kmn(ds, M, N)
-        P = Q @ Q.T
-        np.testing.assert_allclose(P @ K @ P, K, atol=1e-9 * np.abs(K).max())
-        T = relaxed_core(R, M, N.slices[active], active)
-        np.testing.assert_allclose(Q @ T @ Q.T, K, atol=1e-12 * np.abs(K).max())
-        # K's spectrum is T's plus a zero for each dimension outside span Q
-        r = Q.shape[1]
-        assert (r == m) == (m == 4)
-        want = np.sort(np.concatenate([np.linalg.eigvalsh(T), np.zeros(m - r)]))
-        np.testing.assert_allclose(np.linalg.eigvalsh(K), want, atol=1e-9 * np.abs(K).max())
+        B = _basis(ds.X, Zb, active)
+        blocks = [ds.X] + [Zb[:, [k]] * ds.X for k in active]
+        np.testing.assert_array_equal(B, np.concatenate(blocks, axis=1))
+        for rank in (0, 1, d):
+            M, N, roots = _point_of_c(rng, d, active, rank)
+            L = schur_factor(M[:, active], roots, active)
+            assert L.shape == (B.shape[1], d + rank * active.size)
+            Phi = B @ L
+            K = build_kmn(ds, M, N)
+            tol = 1e-11 * max(np.abs(K).max(), 1.0)
+            np.testing.assert_allclose(Phi @ Phi.T, K, rtol=0, atol=tol)
+            np.testing.assert_allclose(
+                Phi[:, :d], impute_dataset(M, ds.X, ds.Z), rtol=0, atol=1e-12
+            )
 
 
-def test_range_basis_duplicate_blocks(rng):
-    # feature 0 is missing in every row, so its block Zb[:, 0] * X is X
-    # itself: B repeats d columns, and the basis holds its range whether
-    # or not r comes out at the rank
-    m, d = 30, 4
-    X = rng.random((m, d))
-    Z = corrupt_independent(X, 0.6, 7)
-    Z[:, 0] = 0.0
-    ds = Dataset(X * Z, Z, rng.uniform(-1.0, 1.0, m))
-    Zb = 1.0 - ds.Z
-    active = np.flatnonzero(Zb.any(axis=0))
-    B = _basis(ds.X, Zb, active)
-    np.testing.assert_array_equal(B[:, d : 2 * d], ds.X)
-    assert np.linalg.matrix_rank(B) < B.shape[1] - d  # beyond the zero columns
-    Q, R = range_basis(ds.X, Zb, active)
-    assert Q.shape[1] <= B.shape[1] and R.shape == (Q.shape[1], B.shape[1])
-    np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), atol=1e-12)
-    np.testing.assert_allclose(Q @ R, B, atol=1e-12)
-    M, N = rng.standard_normal((d, d)), random_lifted(rng, d)
-    K = build_kmn(ds, M, N)
-    T = relaxed_core(R, M, N.slices[active], active)
-    np.testing.assert_allclose(Q @ T @ Q.T, K, atol=1e-12 * np.abs(K).max())
+def test_schur_factor_drops_negligible_roots(rng):
+    """A root column at or below 1e-12 of the largest squared norm is dropped.
+
+    The kept columns come in block order, each in its own block's rows.
+    """
+    d, active = 3, np.array([0, 2])
+    Ma = rng.standard_normal((d, 2))
+    roots = np.zeros((2, d, d))
+    roots[0, :, 1] = [2.0, 0.0, 0.0]  # squared norm 4: the largest
+    roots[1, :, 0] = [0.0, 1e-6, 0.0]  # 1e-12, a quarter of the threshold
+    roots[1, :, 2] = [0.0, 0.0, 3e-6]  # 9e-12, above 4e-12
+    L = schur_factor(Ma, roots, active)
+    want = np.zeros((3 * d, d + 2))
+    want[:d, :d] = np.eye(d)
+    want[d : 2 * d, 0] = Ma[:, 0]
+    want[2 * d :, 2] = Ma[:, 1]
+    want[d : 2 * d, d] = roots[0, :, 1]
+    want[2 * d :, d + 1] = roots[1, :, 2]
+    np.testing.assert_array_equal(L, want)
 
 
 def test_lifted_tensor_budget():

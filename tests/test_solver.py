@@ -14,13 +14,12 @@ from imputed_ridge import (
     build_kmn,
     corrupt_independent,
     predict_batch,
-    range_basis,
-    relaxed_core,
     ridge_weights,
     rmse,
     solve_irr,
 )
-from imputed_ridge.solver import _core_solve, _master, _primal_alpha, _Rows
+from imputed_ridge.kernel import _basis, schur_factor
+from imputed_ridge.solver import _master, _Rows, _schur_ridge, _schur_separate
 from tests.conftest import random_corrupted
 from tests.master_reference import flat_master, flat_row
 
@@ -116,6 +115,9 @@ def test_solution_invariants(rng):
         assert np.linalg.norm(sol.M) <= gam + 1e-9
         assert sol.N.norm <= gam * gam + 1e-9
         K = build_kmn(ds, sol.M, sol.N)
+        # alpha solves the ridge system of the kernel at the returned (M, N)
+        resid = (K + m * lam * np.eye(m)) @ sol.alpha - ds.y
+        assert np.linalg.norm(resid) <= 1e-8 * max(1.0, np.linalg.norm(ds.y))
         lam_min = float(np.linalg.eigvalsh(K)[0])
         assert lam_min >= -1e-7 - 1e-9 * abs(K).max()
         if lam_min >= 0:
@@ -255,13 +257,14 @@ def test_reported_bound_below_a_point_of_c():
 def test_factored_path_matches_dense():
     """The solver's factored ridge solve against the m x m one it replaces.
 
-    Three shapes: a basis narrower than m (m=200, d=5), a square one
-    (m=60, d=8, beta 0.6, where c = 72 > m) and X = 0 (rank 0).  At
-    random in-budget points of the Schur set C, N_k = M_k M_k' + P_k
-    with P_k PSD (zero for an exact lift): the kernel is PSD, the r x r
-    solve of T + m*lam*I matches a dense solve of K + m*lam*I, and the
-    d x d primal solve of _primal_alpha matches the dense one on the
-    imputed rows.  On the rank-0 case a full solve is plain ridge on the
+    Three shapes: a basis narrower than m (m=200, d=5), a wider one
+    (m=60, d=8, beta 0.6, where c = 72 > m) and X = 0.  At random
+    in-budget points of the Schur set C, N_k = M_k M_k' + P_k P_k' (P_k
+    zero for an exact lift): the kernel is PSD, the c_eff x c_eff solve
+    through the Schur factor L (P_k as the roots) matches a dense solve
+    of K + m*lam*I, and the same step on the imputed rows with L = I
+    (the gamma = 0 shortcut's d x d solve) matches the dense one of the
+    exact kernel.  On X = 0 a full solve is plain ridge on the
     zero-filled rows.
     """
     Z0 = np.ones((12, 3))
@@ -269,47 +272,87 @@ def test_factored_path_matches_dense():
     Z0[1::4, 2] = 0.0
     cases = [
         random_corrupted(np.random.default_rng(5), 200, 5),
-        # how many of the 72 columns are independent depends on the
-        # mask; this draw's span is all of R^60
         random_corrupted(np.random.default_rng(4), 60, 8, beta=0.6),
         Dataset(np.zeros((12, 3)), Z0, np.linspace(-1.0, 1.0, 12)),
     ]
     rng = np.random.default_rng(5)
     lam, gamma = 2.0**-2, 1.5
-    ranks = []
     for ds in cases:
         m, d, y = ds.m, ds.d, ds.y
         mlam = m * lam
         Zb = 1.0 - ds.Z
         active = np.flatnonzero(Zb.any(axis=0))
-        Q, R = range_basis(ds.X, Zb, active)
-        ranks.append(Q.shape[1])
+        B = _basis(ds.X, Zb, active)
+        G, By = B.T @ B, B.T @ y
         for trial in range(8):
-            G = rng.standard_normal((d, d))
-            M = G * (gamma * rng.random() / np.linalg.norm(G))
+            G0 = rng.standard_normal((d, d))
+            M = G0 * (gamma * rng.random() / np.linalg.norm(G0))
             P = rng.standard_normal((d, d, d)) * (trial % 2)
             S = np.einsum("rk,sk->krs", M, M) + P @ P.transpose(0, 2, 1)
             t2 = min(1.0, gamma**2 / np.sqrt((S * S).sum()))
-            M, S = M * np.sqrt(t2), S * t2
+            M, S, P = M * np.sqrt(t2), S * t2, P * np.sqrt(t2)
             K = build_kmn(ds, M, LiftedTensor(S, gamma**2))
             scale = max(np.abs(K).max(), 1.0)
             assert np.linalg.eigvalsh(K)[0] >= -1e-12 * scale
-            T = relaxed_core(R, M, S[active], active)
-            alpha = _core_solve(Q, T, y, mlam)
+            L = schur_factor(M[:, active], P[active], active)
+            assert L.shape[1] == d * (1 + (trial % 2) * active.size)
+            alpha = _schur_ridge(B, G, By, y, L, mlam)
             dense = np.linalg.solve(K + mlam * np.eye(m), y)
             assert np.linalg.norm(alpha - dense) <= 1e-9 * np.linalg.norm(dense)
             # the primal solve on the imputed rows is the exact kernel's
             Ximp = ds.X + Zb * (ds.X @ M)
             exact = dense_alpha(build_km(ds, M), y, lam)
-            primal = _primal_alpha(Ximp, y, mlam)
+            primal = _schur_ridge(Ximp, Ximp.T @ Ximp, Ximp.T @ y, y, np.eye(d), mlam)
             assert np.linalg.norm(primal - exact) <= 1e-9 * np.linalg.norm(exact)
-    assert ranks[0] < 200 and ranks[1] == 60 and ranks[2] == 0
     ds, hp = cases[2], Hyperparams(lam=0.5, gamma=1.0)
     sol = solve_irr(ds, hp)
     np.testing.assert_allclose(sol.alpha, ds.y / (ds.m * hp.lam))
     assert sol.diagnostics.objective == pytest.approx(ds.y @ ds.y / (ds.m * hp.lam))
     assert sol.diagnostics.converged
     np.testing.assert_array_equal(sol.M, 0.0)
+
+
+def test_schur_separate_roots_factor_blocks():
+    """The roots _schur_separate returns factor the blocks of its point.
+
+    Inside C (N_k = M_k M_k' + P_k P_k') the point comes back unchanged;
+    outside it (a symmetric perturbation with negative eigenvalues) the
+    blocks are clipped and scaled into the balls.  Either way
+    R_k R_k' = N_k - M_k M_k' at the returned point.
+    """
+    rng = np.random.default_rng(3)
+    d, a, gamma = 4, 3, 1.0
+    for outside in (False, True):
+        Ma = rng.standard_normal((d, a)) * 0.3
+        P = rng.standard_normal((a, d, d)) * 0.2
+        Ns = np.einsum("rk,sk->krs", Ma, Ma) + P @ P.transpose(0, 2, 1)
+        if outside:
+            E = rng.standard_normal((a, d, d))
+            Ns = Ns + 0.5 * (E + E.transpose(0, 2, 1))
+        rows = _Rows(d, a)
+        Mo, No, roots = _schur_separate(rows, Ma, Ns, gamma, 1e-7)
+        assert (rows.const.size > 0) == outside
+        if not outside:
+            assert Mo is Ma and No is Ns
+        W = No - np.einsum("rk,sk->krs", Mo, Mo)
+        np.testing.assert_allclose(roots @ roots.transpose(0, 2, 1), W, rtol=0, atol=1e-12)
+
+
+def test_solve_needs_no_qr(monkeypatch):
+    """A solve factors nothing but its Schur blocks: with np.linalg.qr
+    raising, the wide-basis case still solves to a PSD kernel with Schur
+    cuts taken."""
+
+    def no_qr(*args, **kwargs):
+        raise AssertionError("solve_irr called np.linalg.qr")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    ds, hp = _wide_basis_case()
+    sol = solve_irr(ds, hp)
+    assert sol.diagnostics.cuts >= 1
+    K = build_kmn(ds, sol.M, sol.N)
+    resid = (K + ds.m * hp.lam * np.eye(ds.m)) @ sol.alpha - ds.y
+    assert np.linalg.norm(resid) <= 1e-8 * max(1.0, np.linalg.norm(ds.y))
 
 
 def _recorded_rows(monkeypatch, ds, hp):
