@@ -23,16 +23,16 @@ Whatever (M, N) is, the matrix factors through X's columns and their
 masked copies, B = [X, Zb_k * X for the a features k with a masked
 entry]: K = B S(M, N) B' with a c x c matrix S, c = d(1 + a), whose
 blocks are I on the X block, M[:, k] e_k' between the X block and
-block k, and N_k on block k.  relaxed_core computes F S F' for any F
-in B's column layout; with F = B it is the m x m matrix (build_kmn).
-On the Schur set, where every W_k = N_k - M[:, k] M[:, k]' is PSD, S
-has the factor L of schur_factor, S = L L': the identity on the X block
-with M[:, k] routed into column k from block k, then one column per
-eigenpair of W_k whose eigenvalue is above 1e-12 of the largest, its
-eigenvector scaled by the root of that eigenvalue.  So K = (B L)(B L)'
-there, B L's first d columns are the M-imputed rows, and B L is m x
-c_eff with c_eff = d plus the eigenpairs kept.  The solver forms
-G = B'B once per solve and then needs only L, c x c_eff, per iterate.
+block k, and N_k on block k.  relaxed_core computes F S F' for F in
+B's column layout; its one use is F = B, the m x m matrix of build_kmn.
+On the Schur set, where every W_k = N_k - M[:, k] M[:, k]' is PSD,
+S = L L' (schur_factor): L is the identity on the X block with M[:, k]
+routed into column k from block k, then in block k's rows a column per
+eigenpair of W_k above 1e-12 of the largest eigenvalue of all, its
+eigenvector times the root of its eigenvalue.  So K = (B L)(B L)' there,
+B L starts with the M-imputed rows, and as each block holds at most
+n <= d such columns, schur_lt and schur_l multiply by L' and L in
+O(c (1 + n)) per column.
 relaxed_apply is the kernel-vector form: K(X0 rows, X rows) alpha for
 any rows X0, which gives dual predictions and kernel-vector products
 without forming either matrix, in row blocks of a fixed byte size, so
@@ -142,29 +142,45 @@ def quad_factors(X, Zb, a):
 
 def _basis(X, Zb, active):
     """B = [X, Zb[:, k] * X for k in active], the m x d(1 + a) factor of K."""
-    m, d = X.shape
-    W = np.concatenate([np.ones((m, 1)), Zb[:, active]], axis=1)  # each block's row weights
-    return (W[:, :, None] * X[:, None, :]).reshape(m, W.shape[1] * d)
+    return np.concatenate([X] + [Zb[:, [k]] * X for k in active], axis=1)
 
 
 def schur_factor(Ma, roots, active):
-    """L, c x c_eff, with S(M, N) = L L' at a point of the Schur set.
+    """F, a x d x (1 + n): the factor L of S(M, N) = L L' on the Schur set.
 
     ``Ma`` holds the columns M_k, k in ``active``, and ``roots[j]`` a d x d
-    R_j with R_j R_j' = N_k - M_k M_k', k = active[j].  L's first d
-    columns are the identity on the X block with M_k routed into column
-    k from block k; then come R_j's columns in block j's rows, but for
-    those whose squared norm is at most 1e-12 of the largest of all.
+    R_j with R_j R_j' = N_k - M_k M_k', k = active[j].  L is c x (d + a n)
+    with rows [I, 0] on the X block; block j's rows hold M_k in column k
+    and R_j's last n columns in columns d + j n .. d + (j + 1) n, where
+    n leaves out the leading columns that no block keeps: a column is
+    kept if its squared norm is above 1e-12 of the largest of all, and
+    zeroed if not.  With the ascending eigenpairs of _schur_separate, n
+    is the most any block keeps.  F[j] = [M_k, R_j's n columns].
     """
-    d, a = Ma.shape
     sq = np.einsum("jsi,jsi->ji", roots, roots)
-    jj, ii = np.nonzero(sq > 1e-12 * sq.max(initial=0.0))
-    L = np.zeros((d * (1 + a), d + jj.size))
-    L[:d, :d] = np.eye(d)
-    Lb = L[d:].reshape(a, d, d + jj.size)  # Lb[j]: block j's rows
-    Lb[np.arange(a), :, active] = Ma.T
-    Lb[jj, :, d + np.arange(jj.size)] = roots[jj, :, ii]
-    return L
+    keep = sq > 1e-12 * sq.max(initial=0.0)
+    lo = np.append(keep.any(axis=0), True).argmax()  # first column kept, or d
+    R = roots[:, :, lo:] * keep[:, None, lo:]
+    return np.concatenate([Ma.T[:, :, None], R], axis=2)
+
+
+def schur_lt(F, active, Y):
+    """L'Y for the factor L of schur_factor and Y with c rows, q columns:
+    O(c (1 + n) q), where a dense L would cost O(c (d + a n) q)."""
+    (a, d, w), q = F.shape, Y.shape[1]
+    P = F.transpose(0, 2, 1) @ Y[d:].reshape(a, d, q)
+    out = np.empty((d + a * (w - 1), q))
+    out[:d] = Y[:d]
+    out[active] += P[:, 0]
+    out[d:].reshape(a, w - 1, q)[...] = P[:, 1:]
+    return out
+
+
+def schur_l(F, active, V):
+    """L V for V with d + a n rows and L the factor of schur_factor."""
+    a, d, w = F.shape
+    Vb = np.concatenate([V[active][:, None], V[d:].reshape(a, w - 1, V.shape[1])], axis=1)
+    return np.concatenate([V[:d], (F @ Vb).reshape(a * d, V.shape[1])])
 
 
 def relaxed_core(F, M, slices, active) -> np.ndarray:
@@ -172,10 +188,9 @@ def relaxed_core(F, M, slices, active) -> np.ndarray:
 
     ``slices`` holds one d x d matrix per index in ``active`` (features
     with at least one masked entry); inactive features contribute
-    nothing because their Zb column is identically zero.  F = B gives
-    the m x m kernel of build_kmn; rows of B for any stack of rows give
-    its blocks.  With F split into d-column blocks F_0 (the X block)
-    and F_k (block k):
+    nothing because their Zb column is identically zero.  Its one use is
+    build_kmn, with F = B and the m x m kernel as result.  With F split
+    into d-column blocks F_0 (the X block) and F_k (block k):
 
         F S F' = F_0 F_0' + sum_k [(F_k M[:, k]) F_0[:, k]' + transpose]
                           + sum_k F_k N_k F_k'

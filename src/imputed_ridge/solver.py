@@ -16,11 +16,9 @@ X' D_k with D_k = diag(Zb[:, k]), so every kernel on C is PSD, for any
 data; C holds every exact lift N_k = M_k M_k' and so still relaxes
 exact imputation.  Each outer iteration:
 
-  1. at the current point of C, K = (B L)(B L)' with B the m x c basis
-     of kernel.py and L its c x c_eff Schur factor (kernel.schur_factor)
-     from the last separation's eigenpairs; solve the ridge system for
-     the maximizing alpha through one c_eff x c_eff solve (_schur_ridge)
-     and add alpha to an active set;
+  1. at the current point of C, where K = (B L)(B L)' with the Schur
+     factor L of kernel.py, solve the ridge system for the maximizing
+     alpha (_schur_ridge) and add alpha to an active set;
   2. re-minimize the active-set maximum over the Frobenius balls with
      projected subgradient steps, in plane coordinates: the iterate is
      a combination of the planes' and cuts' coefficient rows, and the
@@ -39,14 +37,12 @@ O(k) for k planes and cuts, whatever d.  The iterate's (M, N) is
 rebuilt from its coefficients once per outer iteration.  No step of a
 solve forms an m x m matrix: O(m c^2) once for G = B'B, then per
 outer iteration O(m c) for one product with B, O(m d a) for the new
-plane and O(c^2 c_eff + c_eff^3) for the ridge step; c = d(1 + a), and
-c_eff <= c is d plus the eigenvalues of the blocks N_k - M_k M_k' above
-1e-12 of the largest.  The solve returns the incumbent: the point of C
-with the lowest objective among those it evaluated.
+plane and O(c^2 (1 + n) + c_L^3) for the ridge step, c = d(1 + a) and
+c_L = d + a n (kernel.schur_factor).  The solve returns the incumbent:
+the point of C with the lowest objective among those it evaluated.
 
 Primal ridge on explicit rows U (the benchmark's baselines) is
-ridge_weights: the d x d normal equations, never the m x m Gram U U';
-the gamma = 0 shortcut is the ridge step above with B = X and L = I.
+ridge_weights: the d x d normal equations, never the m x m Gram U U'.
 """
 
 from __future__ import annotations
@@ -60,7 +56,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dataset import Dataset
-from .kernel import LiftedTensor, _basis, quad_factors, relaxed_apply, schur_factor
+from .kernel import LiftedTensor, _basis, quad_factors, relaxed_apply
+from .kernel import schur_factor, schur_l, schur_lt
 
 
 @dataclass(frozen=True)
@@ -284,8 +281,8 @@ def _master(rows, gamma, inner_steps, eps):
     dM = np.diag(GM).tolist()
     dN = np.diag(GN).tolist()
     # G[j] stacks row j of each Gram, so that a step of length tau along
-    # row j adds D * G[j] to P[1:], D's rows filled with tau/sM and tau/sN
-    G = list(np.stack([GM, GN], axis=1))
+    # row j adds D G[j] to P[1:], D = diag(tau/sM, tau/sN)
+    G = np.stack([GM, GN], axis=1)
     cM, cN = rows.cM.tolist(), rows.cN.tolist()
     # row 0 holds the constants, the cuts' negated, so that u = w . P
     # is the planes' values, then the cuts' values negated, with
@@ -295,10 +292,8 @@ def _master(rows, gamma, inner_steps, eps):
     PG = P[1:]
     w = np.array([1.0, -1.0, -1.0])
     u = np.empty(k)
-    wdot, uitem = w.dot, u.item  # bound once for the loop
-    plane_argmax, cut_argmax = u[:npl].argmax, u[npl:].argmax
-    D = np.empty((2, k))
-    D0, D1 = D
+    u_planes, u_cuts = u[:npl], u[npl:]
+    D = np.empty((2, 1))
     DG = np.empty((2, k))
     sM = sN = 1.0
     qM = float(rows.cM @ P[1])
@@ -308,18 +303,18 @@ def _master(rows, gamma, inner_steps, eps):
     step_scale = None
 
     for t in range(1, inner_steps + 1):
-        wdot(P, out=u)
+        w.dot(P, out=u)
         viol = 0.0
         if have_cuts:
-            j = npl + int(cut_argmax())
-            viol = -uitem(j)
+            j = npl + int(u_cuts.argmax())
+            viol = -u.item(j)
 
         if viol < -eps:
             gsq = dM[j] + dN[j]
             tau = -viol / gsq if gsq > 0.0 else 0.0
         else:
-            j = int(plane_argmax())
-            val = uitem(j)
+            j = int(u_planes.argmax())
+            val = u.item(j)
             if val < best_val:
                 best_val = val
                 best = (cM.copy(), cN.copy(), sM, sN)
@@ -339,8 +334,7 @@ def _master(rows, gamma, inner_steps, eps):
             stepM, stepN = tau / sM, tau / sN
             cM[j] += stepM
             cN[j] += stepN
-            D0.fill(stepM)
-            D1.fill(stepN)
+            D[0, 0], D[1, 0] = stepM, stepN
             np.multiply(G[j], D, out=DG)
             PG += DG
 
@@ -400,9 +394,8 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
         )
 
     if hp.gamma == 0.0 or a == 0:
-        # no imputation freedom, or nothing missing: plain ridge on X,
-        # whose basis is X and Schur factor I
-        alpha = _schur_ridge(X, X.T @ X, X.T @ y, y, np.eye(d), mlam)
+        # no imputation freedom, or nothing missing: plain ridge on X (L = I)
+        alpha = _schur_ridge(X, X.T @ X, X.T @ y, y, np.zeros((0, d, 1)), [], mlam)
         diag = Diagnostics(iterations=1, gap=0.0, cuts=0, objective=float(y @ alpha),
                            converged=True)
         return IrrSolution(
@@ -425,7 +418,7 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
 
     for it in range(1, cfg.max_outer + 1):
         # (Ma, Ns) lies in C, where roots factor its blocks N_k - M_k M_k'
-        alpha = _schur_ridge(B, G, By, y, schur_factor(Ma, roots, active), mlam)
+        alpha = _schur_ridge(B, G, By, y, schur_factor(Ma, roots, active), active, mlam)
         f_cur = float(y @ alpha)
         if f_cur < upper_best:
             upper_best = f_cur
@@ -463,25 +456,23 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
     )
 
 
-def _schur_ridge(B, G, By, y, L, mlam):
-    """Dual ridge weights alpha = (Phi Phi' + m*lam*I)^{-1} y for Phi = B L.
+def _schur_ridge(B, G, By, y, F, active, mlam):
+    """Dual ridge weights alpha = (Phi Phi' + m*lam*I)^{-1} y, Phi = B L.
 
-    By Woodbury alpha = (y - Phi v) / (m*lam), (L' G L + m*lam*I) v = L' B'y,
-    with G = B'B and B'y formed once per solve: O(m c + c^2 c_eff + c_eff^3)
-    for an m x c basis B and a c x c_eff factor L.  The matrix solved has
-    eigenvalues >= m*lam whatever the rank of B; X = 0 gives y / (m*lam).
-    With L = schur_factor at a point of C, K - Phi Phi' is
-    sum_k D_k X E_k X' D_k, E_k the part of N_k - M_k M_k' that L drops,
-    ||E_k|| <= 1e-12 gamma^2.  As ||alpha|| <= ||y|| / (m*lam), past rounding
+    L is the factor kernel.schur_factor gives as F.  By Woodbury
+    alpha = (y - Phi v) / (m*lam), (L'GL + m*lam*I) v = L'B'y, with G = B'B
+    and B'y formed once per solve: O(m c + c^2 (1 + n) + c_L^3).  The
+    matrix solved has eigenvalues >= m*lam whatever the rank of B.  At a
+    point of C, K - Phi Phi' = sum_k D_k X E_k X' D_k with E_k the part of
+    N_k - M_k M_k' that L drops, ||E_k|| <= 1e-12 gamma^2, so past rounding
 
-        ||(K + m*lam*I) alpha - y|| <= 1e-12 gamma^2 a ||X||_2^2 ||y|| / (m*lam)
-
-    for a masked features.
+        ||(K + m*lam*I) alpha - y|| <= 1e-12 gamma^2 a ||X||_2^2 ||y|| / (m*lam).
     """
-    H = L.T @ G @ L
-    H.flat[:: H.shape[0] + 1] += mlam
-    v = np.linalg.solve(H, L.T @ By)
-    return (y - B @ (L @ v)) / mlam
+    GL = schur_lt(F, active, G).T  # G L, as G is symmetric
+    H = schur_lt(F, active, np.column_stack([GL, By]))  # [L'G L, L'B'y]
+    H.flat[:: H.shape[1] + 1] += mlam
+    v = np.linalg.solve(H[:, :-1], H[:, -1:])
+    return (y - B @ schur_l(F, active, v)[:, 0]) / mlam
 
 
 def _schur_separate(rows, Ma, Ns, gamma, eps):
@@ -496,9 +487,8 @@ def _schur_separate(rows, Ma, Ns, gamma, eps):
     it is const u0^2, s = u0 e_k and V with v as its only column, k.
     The point returned is (t Ma, t^2 N'), N'_k = M_k M_k' plus the
     block's positive part, with t <= 1 the largest factor inside both
-    balls; it is (Ma, Ns) itself when no block is negative.  Returned
-    with it are the roots U_k diag(sqrt(w_k)) of its blocks
-    N_k - M_k M_k' = U_k diag(w_k) U_k', w_k >= 0, for schur_factor.
+    balls; it is (Ma, Ns) itself when no block is negative.  With it
+    come the roots U_k diag(sqrt(w_k)) of N_k - M_k M_k' = U_k diag(w_k) U_k'.
     """
     d, a = Ma.shape
     MM = np.einsum("rk,sk->krs", Ma, Ma)
@@ -513,8 +503,7 @@ def _schur_separate(rows, Ma, Ns, gamma, eps):
     if not neg.any():
         return Ma, Ns, U * np.sqrt(w)[:, None, :]
     w = np.maximum(w, 0.0)
-    plus = (U * w[:, None, :]) @ U.transpose(0, 2, 1)
-    Ns = np.where(neg[:, None, None], MM + plus, Ns)
+    Ns = np.where(neg[:, None, None], MM + (U * w[:, None, :]) @ U.transpose(0, 2, 1), Ns)
     t2 = _into_ball(Ns, gamma * gamma)
     return Ma * math.sqrt(t2), Ns * t2, U * np.sqrt(t2 * w)[:, None, :]
 

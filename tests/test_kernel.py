@@ -17,6 +17,8 @@ from imputed_ridge.kernel import (
     quad_factors,
     relaxed_apply,
     schur_factor,
+    schur_l,
+    schur_lt,
 )
 from imputed_ridge.solver import _Rows
 from tests.conftest import random_corrupted
@@ -255,21 +257,27 @@ def test_gradient_matches_finite_differences(rng):
 def _point_of_c(rng, d, active, rank):
     """(M, N, roots) with N_k = M_k M_k' + R_k R_k' on the active features.
 
-    R_k is d x d with rank random columns, the rest zero, so rank 0 is
-    the exact lift.
+    R_k is d x d with its last rank columns random, the rest zero, so
+    rank 0 is the exact lift.
     """
     M = rng.standard_normal((d, d))
     roots = rng.standard_normal((active.size, d, d))
-    roots[:, :, rank:] = 0.0
+    roots[:, :, : d - rank] = 0.0
     N = np.zeros((d, d, d))
     N[active] = np.einsum("rj,sj->jrs", M[:, active], M[:, active])
     N[active] += roots @ roots.transpose(0, 2, 1)
     return M, LiftedTensor(N, float(np.linalg.norm(N)) + 1.0), roots
 
 
+def _dense_l(F, active):
+    """The factor L of schur_factor as a matrix: L times the identity."""
+    a, d, w = F.shape
+    return schur_l(F, active, np.eye(d + a * (w - 1)))
+
+
 def test_schur_factor_holds_relaxed_kernel(rng):
-    """B L L' B' is the relaxed kernel at points of C, and B L starts with
-    the imputed rows.
+    """B L L' B' is the relaxed kernel at points of C, B L starts with
+    the imputed rows, and schur_lt multiplies by L'.
 
     Five data shapes: 30 rows, a 4-row mask with one missing entry per
     feature, feature 0 missing in every row (its block Zb[:, 0] * X is X
@@ -299,8 +307,11 @@ def test_schur_factor_holds_relaxed_kernel(rng):
         np.testing.assert_array_equal(B, np.concatenate(blocks, axis=1))
         for rank in (0, 1, d):
             M, N, roots = _point_of_c(rng, d, active, rank)
-            L = schur_factor(M[:, active], roots, active)
+            F = schur_factor(M[:, active], roots, active)
+            L = _dense_l(F, active)
             assert L.shape == (B.shape[1], d + rank * active.size)
+            Y = rng.standard_normal((B.shape[1], 3))
+            np.testing.assert_allclose(schur_lt(F, active, Y), L.T @ Y, rtol=0, atol=1e-12)
             Phi = B @ L
             K = build_kmn(ds, M, N)
             tol = 1e-11 * max(np.abs(K).max(), 1.0)
@@ -311,24 +322,30 @@ def test_schur_factor_holds_relaxed_kernel(rng):
 
 
 def test_schur_factor_drops_negligible_roots(rng):
-    """A root column at or below 1e-12 of the largest squared norm is dropped.
+    """A root column at or below 1e-12 of the largest squared norm is zeroed,
+    and leading columns that no block keeps are left out.
 
-    The kept columns come in block order, each in its own block's rows.
+    The roots come in ascending norm, as eigh gives them.  Column 0 is
+    zero in both blocks and left out; block 1's column 1 sits at a
+    quarter of the threshold and is zeroed, while block 0 keeps its
+    column 1, so both blocks keep two columns of L.
     """
     d, active = 3, np.array([0, 2])
     Ma = rng.standard_normal((d, 2))
     roots = np.zeros((2, d, d))
-    roots[0, :, 1] = [2.0, 0.0, 0.0]  # squared norm 4: the largest
-    roots[1, :, 0] = [0.0, 1e-6, 0.0]  # 1e-12, a quarter of the threshold
+    roots[0, :, 1] = [0.0, 0.0, 0.5]
+    roots[0, :, 2] = [2.0, 0.0, 0.0]  # squared norm 4: the largest
+    roots[1, :, 1] = [0.0, 1e-6, 0.0]  # 1e-12, a quarter of the threshold
     roots[1, :, 2] = [0.0, 0.0, 3e-6]  # 9e-12, above 4e-12
-    L = schur_factor(Ma, roots, active)
-    want = np.zeros((3 * d, d + 2))
+    F = schur_factor(Ma, roots, active)
+    assert F.shape == (2, d, 3)
+    want = np.zeros((3 * d, d + 4))
     want[:d, :d] = np.eye(d)
     want[d : 2 * d, 0] = Ma[:, 0]
     want[2 * d :, 2] = Ma[:, 1]
-    want[d : 2 * d, d] = roots[0, :, 1]
-    want[2 * d :, d + 1] = roots[1, :, 2]
-    np.testing.assert_array_equal(L, want)
+    want[d : 2 * d, d : d + 2] = roots[0, :, 1:]
+    want[2 * d :, d + 3] = roots[1, :, 2]
+    np.testing.assert_array_equal(_dense_l(F, active), want)
 
 
 def test_lifted_tensor_budget():

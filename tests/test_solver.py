@@ -260,7 +260,7 @@ def test_factored_path_matches_dense():
     Three shapes: a basis narrower than m (m=200, d=5), a wider one
     (m=60, d=8, beta 0.6, where c = 72 > m) and X = 0.  At random
     in-budget points of the Schur set C, N_k = M_k M_k' + P_k P_k' (P_k
-    zero for an exact lift): the kernel is PSD, the c_eff x c_eff solve
+    zero for an exact lift): the kernel is PSD, the c_L x c_L solve
     through the Schur factor L (P_k as the roots) matches a dense solve
     of K + m*lam*I, and the same step on the imputed rows with L = I
     (the gamma = 0 shortcut's d x d solve) matches the dense one of the
@@ -278,6 +278,7 @@ def test_factored_path_matches_dense():
     rng = np.random.default_rng(5)
     lam, gamma = 2.0**-2, 1.5
     for ds in cases:
+        no_blocks = schur_factor(np.zeros((ds.d, 0)), np.zeros((0, ds.d, ds.d)), [])
         m, d, y = ds.m, ds.d, ds.y
         mlam = m * lam
         Zb = 1.0 - ds.Z
@@ -294,15 +295,15 @@ def test_factored_path_matches_dense():
             K = build_kmn(ds, M, LiftedTensor(S, gamma**2))
             scale = max(np.abs(K).max(), 1.0)
             assert np.linalg.eigvalsh(K)[0] >= -1e-12 * scale
-            L = schur_factor(M[:, active], P[active], active)
-            assert L.shape[1] == d * (1 + (trial % 2) * active.size)
-            alpha = _schur_ridge(B, G, By, y, L, mlam)
+            F = schur_factor(M[:, active], P[active], active)
+            assert F.shape == (active.size, d, 1 + (trial % 2) * d)
+            alpha = _schur_ridge(B, G, By, y, F, active, mlam)
             dense = np.linalg.solve(K + mlam * np.eye(m), y)
             assert np.linalg.norm(alpha - dense) <= 1e-9 * np.linalg.norm(dense)
             # the primal solve on the imputed rows is the exact kernel's
             Ximp = ds.X + Zb * (ds.X @ M)
             exact = dense_alpha(build_km(ds, M), y, lam)
-            primal = _schur_ridge(Ximp, Ximp.T @ Ximp, Ximp.T @ y, y, np.eye(d), mlam)
+            primal = _schur_ridge(Ximp, Ximp.T @ Ximp, Ximp.T @ y, y, no_blocks, [], mlam)
             assert np.linalg.norm(primal - exact) <= 1e-9 * np.linalg.norm(exact)
     ds, hp = cases[2], Hyperparams(lam=0.5, gamma=1.0)
     sol = solve_irr(ds, hp)
