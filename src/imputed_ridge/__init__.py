@@ -31,7 +31,6 @@ from .kernel import (
     build_km,
     build_kmn,
     lift,
-    relaxed_core,
 )
 from .solver import (
     Diagnostics,

@@ -410,19 +410,22 @@ def sweep_fraction(spec: ExperimentSpec, fractions):
     """Run the experiment once per target fraction; rows for plotting.
 
     Returns (fraction, method, rmse_mean, rmse_std) tuples, recalibrating
-    beta for each fraction.  Raises ValueError for an empty list or a
-    fraction outside (0, 1].
+    beta for each fraction.  The dataset is loaded and normalized once,
+    after every fraction is checked.  Raises ValueError for an empty list
+    or a fraction outside (0, 1].
     """
     fractions = list(fractions)
     if not fractions:
         raise ValueError("fractions must list at least one observed fraction")
-    rows = []
     for f in fractions:
         if not 0.0 < f <= 1.0:
             raise ValueError(f"fractions must lie in (0, 1], got {f}")
-        report = run_experiment(replace(spec, target_fraction=float(f)))
+    ds = normalize(load_csv(spec.dataset_path, spec.label_column, spec.has_header))
+    rows = []
+    for f in map(float, fractions):
+        report = _run_on_dataset(replace(spec, target_fraction=f), ds)
         for name, res in report.methods.items():
-            rows.append((float(f), name, res.rmse_mean, res.rmse_std))
+            rows.append((f, name, res.rmse_mean, res.rmse_std))
     return rows
 
 

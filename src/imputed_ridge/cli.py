@@ -55,7 +55,7 @@ def _add_common(p):
     p.add_argument("--report-bounds", action="store_true",
                    help="attach capacity-bound values at the winning IRR point")
     p.add_argument("--solver-config", default=None,
-                   help="JSON file overriding solver tolerances")
+                   help="JSON file of solver limits: tol, max_outer")
 
 
 def _spec_from_args(args) -> ExperimentSpec:

@@ -23,8 +23,8 @@ Whatever (M, N) is, the matrix factors through X's columns and their
 masked copies, B = [X, Zb_k * X for the a features k with a masked
 entry]: K = B S(M, N) B' with a c x c matrix S, c = d(1 + a), whose
 blocks are I on the X block, M[:, k] e_k' between the X block and
-block k, and N_k on block k.  relaxed_core computes F S F' for F in
-B's column layout; its one use is F = B, the m x m matrix of build_kmn.
+block k, and N_k on block k.  build_kmn computes the m x m matrix
+B S B' at any (M, N).
 On the Schur set, where every W_k = N_k - M[:, k] M[:, k]' is PSD,
 S = L L' (schur_factor): L is the identity on the X block with M[:, k]
 routed into column k from block k, then in block k's rows a column per
@@ -114,16 +114,30 @@ def build_km(train: Dataset, M) -> np.ndarray:
 
 
 def build_kmn(train: Dataset, M, N: LiftedTensor) -> np.ndarray:
-    """Relaxed m x m Gram matrix, affine in (M, N): relaxed_core on B itself."""
+    """Relaxed m x m Gram matrix B S(M, N) B', affine in (M, N).
+
+    With B's blocks X and X_k = Zb[:, k] * X, k over the features some
+    row masks (the others add nothing),
+
+        B S B' = X X' + sum_k [(X_k M[:, k]) X[:, k]' + transpose]
+                      + sum_k X_k N_k X_k'
+
+    in O(m a d^2 + m^2 a d), symmetrized.
+    """
     M = np.asarray(M, dtype=float)
-    d = train.d
+    (m, d), X = train.X.shape, train.X
     if M.shape != (d, d):
         raise ValueError(f"M must be {d} x {d}")
     if N.slices.shape != (d, d, d):
         raise ValueError(f"N must carry {d} slices of shape ({d}, {d})")
     Zb = 1.0 - train.Z
     active = np.flatnonzero(Zb.any(axis=0))
-    return relaxed_core(_basis(train.X, Zb, active), M, N.slices[active], active)
+    Xk = Zb[:, active, None] * X[:, None, :]  # Xk[:, j, :] is X_k, k = active[j]
+    P = np.einsum("iks,sk->ik", Xk, M[:, active]) @ X[:, active].T
+    A = np.einsum("iks,kst->ikt", Xk, N.slices[active], optimize=True)
+    cols = active.size * d
+    T = X @ X.T + P + P.T + A.reshape(m, cols) @ Xk.reshape(m, cols).T
+    return 0.5 * (T + T.T)
 
 
 def quad_factors(X, Zb, a):
@@ -183,31 +197,6 @@ def schur_l(F, active, V):
     return np.concatenate([V[:d], (F @ Vb).reshape(a * d, V.shape[1])])
 
 
-def relaxed_core(F, M, slices, active) -> np.ndarray:
-    """F S(M, N) F' for a factor F in B's column layout, at any (M, N).
-
-    ``slices`` holds one d x d matrix per index in ``active`` (features
-    with at least one masked entry); inactive features contribute
-    nothing because their Zb column is identically zero.  Its one use is
-    build_kmn, with F = B and the m x m kernel as result.  With F split
-    into d-column blocks F_0 (the X block) and F_k (block k):
-
-        F S F' = F_0 F_0' + sum_k [(F_k M[:, k]) F_0[:, k]' + transpose]
-                          + sum_k F_k N_k F_k'
-
-    which costs O(n a d^2 + n^2 a d) for an n-row F.
-    """
-    active = np.asarray(active, dtype=int)
-    n, d = F.shape[0], M.shape[0]
-    F0 = F[:, :d]
-    Fk = F[:, d:].reshape(n, active.size, d)  # Fk[:, k, :] is block k
-    P = np.einsum("iks,sk->ik", Fk, M[:, active]) @ F0[:, active].T
-    A = np.einsum("iks,kst->ikt", Fk, slices, optimize=True)
-    cols = active.size * d
-    T = F0 @ F0.T + P + P.T + A.reshape(n, cols) @ Fk.reshape(n, cols).T
-    return 0.5 * (T + T.T)
-
-
 def _block_rows(d: int) -> int:
     """Rows of a d-column float64 block that fits _BLOCK_BYTES."""
     return max(1, _BLOCK_BYTES // (8 * max(d, 1)))
@@ -226,7 +215,7 @@ def relaxed_apply(X, Zb, M, slices, alpha, X0, Z0) -> np.ndarray:
         u0 = s + colsum(M * V),   P[:, k] = M[:, k] s_k + N_k V[:, k]
 
     with (s, V) from quad_factors.  N_k enters through its symmetric
-    part, so for any stack this is the cross block of relaxed_core's
+    part, so for any stack this is the cross block of build_kmn's
     symmetrized matrix on the rows [X; X0].  Features no X row masks have
     V[:, k] = 0 but keep the M term where x0 masks them.  The masked
     sum is the full row sum minus its observed part.  X0 and Z0 are

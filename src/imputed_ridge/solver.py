@@ -20,15 +20,20 @@ exact imputation.  Each outer iteration:
      factor L of kernel.py, solve the ridge system for the maximizing
      alpha (_schur_ridge) and add alpha to an active set;
   2. re-minimize the active-set maximum over the Frobenius balls with
-     projected subgradient steps, in plane coordinates: the iterate is
-     a combination of the planes' and cuts' coefficient rows, and the
-     steps only need those rows' k x k Grams;
+     INNER_STEPS projected subgradient steps, in plane coordinates: the
+     iterate is a combination of the planes' and cuts' coefficient rows,
+     and the steps only need those rows' k x k Grams;
   3. take one batched eigendecomposition of the blocks N_k - M_k M_k'
      at that iterate: each block below -eps_psd adds a Schur cut, an
      affine constraint that holds on C, and clipping the blocks'
      negative eigenvalues gives the next point of C (_schur_separate);
   4. stop when the incumbent's value and the master value agree to
      relative tolerance.
+
+With gamma = 0 the master's steps have length 0, and with nothing
+missing (or X = 0) every plane is flat in (M, N), so the point stays
+at M = N = 0 and the second iteration stops with a gap of rounding
+size: plain ridge on the zero-filled rows, by the same path.
 
 Every alpha and every Schur cut enters the master step through the
 same factorization (quad_factors): its pair (s, V) gives one new row
@@ -52,6 +57,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,13 +65,16 @@ from .dataset import Dataset
 from .kernel import LiftedTensor, _basis, quad_factors, relaxed_apply
 from .kernel import schur_factor, schur_l, schur_lt
 
+# Projected subgradient steps of one master solve (_master).
+INNER_STEPS = 500
+
 
 @dataclass(frozen=True)
 class Hyperparams:
     """Ridge weight lam > 0 and imputation budget gamma >= 0.
 
-    gamma = 0 removes the imputation map entirely and the solver
-    short-circuits to plain kernel ridge on the zero-filled data.
+    gamma = 0 removes the imputation map entirely: the solve returns
+    plain kernel ridge on the zero-filled data, with M = N = 0.
     """
 
     lam: float
@@ -80,31 +89,31 @@ class Hyperparams:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver limits; eps_psd is how far below zero a Schur block's
-    smallest eigenvalue may go before it is cut off."""
+    """Solver limits: the relative gap tol at which a solve stops and
+    the most outer iterations it may take.
+
+    eps_psd, not settable, is how far below zero a Schur block's
+    smallest eigenvalue may go before it is cut off.
+    """
 
     tol: float = 1e-3
     max_outer: int = 200
-    inner_steps: int = 500
-    eps_psd: float = 1e-7
+    eps_psd: ClassVar[float] = 1e-7
 
     def __post_init__(self):
-        """Limits must be integers >= 1 and tolerances positive finite
-        reals, booleans neither, so nothing is silently rounded or cast."""
-        for name in ("max_outer", "inner_steps"):
-            value = getattr(self, name)
-            try:
-                ok = not isinstance(value, bool) and operator.index(value) >= 1
-            except TypeError:
-                ok = False
-            if not ok:
-                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
-        for name in ("tol", "eps_psd"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        """max_outer must be an integer >= 1 and tol a positive finite
+        real, booleans neither, so nothing is silently rounded or cast."""
+        n, tol = self.max_outer, self.tol
+        try:
+            ok = not isinstance(n, bool) and operator.index(n) >= 1
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"max_outer must be an integer of at least 1, got {n!r}")
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise ValueError(f"tol must be a real number, got {tol!r}")
+        if not 0 < tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {tol}")
 
     @classmethod
     def from_json(cls, text: str) -> "SolverConfig":
@@ -250,8 +259,9 @@ def _into_ball(A, radius):
     return f
 
 
-def _master(rows, gamma, inner_steps, eps):
-    """Minimize the active-set maximum over the budget balls.
+def _master(rows, gamma):
+    """Minimize the active-set maximum over the budget balls in INNER_STEPS
+    steps, or fewer where the objective is flat.
 
     The iterate x is sum_j (cM_j row_j^M + cN_j row_j^N) over the _Rows
     ``rows``, starting from its coefficients: every plane is the affine
@@ -274,6 +284,7 @@ def _master(rows, gamma, inner_steps, eps):
     every step.
     """
     GM, GN = rows.GM, rows.GN
+    eps = SolverConfig.eps_psd
     npl, k = rows.planes, GM.shape[0]
     have_cuts = k > npl
     rM = gamma * gamma  # squared radii of the two balls
@@ -302,7 +313,7 @@ def _master(rows, gamma, inner_steps, eps):
     best = (cM.copy(), cN.copy(), 1.0, 1.0)
     step_scale = None
 
-    for t in range(1, inner_steps + 1):
+    for t in range(1, INNER_STEPS + 1):
         w.dot(P, out=u)
         viol = 0.0
         if have_cuts:
@@ -393,20 +404,6 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
             f"below 1e-12 of the kernel scale {scale:g}"
         )
 
-    if hp.gamma == 0.0 or a == 0:
-        # no imputation freedom, or nothing missing: plain ridge on X (L = I)
-        alpha = _schur_ridge(X, X.T @ X, X.T @ y, y, np.zeros((0, d, 1)), [], mlam)
-        diag = Diagnostics(iterations=1, gap=0.0, cuts=0, objective=float(y @ alpha),
-                           converged=True)
-        return IrrSolution(
-            alpha=alpha,
-            M=np.zeros((d, d)),
-            N=LiftedTensor.zeros(d, hp.gamma**2),
-            train=train,
-            hp=hp,
-            diagnostics=diag,
-        )
-
     B = _basis(X, Zb, active)
     G, By = B.T @ B, B.T @ y
     rows = _Rows(d, a)
@@ -432,7 +429,7 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
             converged = True
             break
 
-        rows.cM, rows.cN, lower = _master(rows, hp.gamma, cfg.inner_steps, cfg.eps_psd)
+        rows.cM, rows.cN, lower = _master(rows, hp.gamma)
         Ma, Ns, roots = _schur_separate(rows, *rows.iterate(hp.gamma), hp.gamma, cfg.eps_psd)
 
     Ma, Ns, alpha = incumbent

@@ -19,6 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
+from imputed_ridge import solver
 from imputed_ridge.bench import ExperimentSpec, run_experiment, run_onevsall
 from imputed_ridge.corruption import (
     CorruptionKind,
@@ -67,7 +68,7 @@ def _soft_band(label, value, center, width):
 # -- 1 ---------------------------------------------------------------------
 
 
-def test_criterion_01_relaxation_soundness():
+def test_criterion_01_relaxation_soundness(monkeypatch):
     """Solver objective never exceeds the exact objective of any feasible map.
 
     100 random small instances; for each, 200 maps drawn from the gamma
@@ -75,7 +76,8 @@ def test_criterion_01_relaxation_soundness():
     reported optimum (slack >= -1e-6).  Budget: 2 minutes.
     """
     rng = np.random.default_rng(123)
-    cfg = SolverConfig(tol=1e-6, max_outer=60, inner_steps=1500)
+    cfg = SolverConfig(tol=1e-6, max_outer=60)
+    monkeypatch.setattr(solver, "INNER_STEPS", 1500)
     t0 = time.perf_counter()
     worst = np.inf
     for _ in range(100):
@@ -386,7 +388,7 @@ def test_criterion_09_thyroid_native():
 
 
 @pytest.mark.slow
-def test_criterion_10_digits_column_ordering(tmp_path):
+def test_criterion_10_digits_column_ordering(tmp_path, monkeypatch):
     """Column-block corruption, 3-vs-all digits: IRR beats zero-fill by 0.01.
 
     Runs on data/optdigits.csv when present; otherwise the bundled
@@ -421,8 +423,9 @@ def test_criterion_10_digits_column_ordering(tmp_path):
         trials=2,
         methods=("zero", "irr"),
         grid=tuple(range(-8, 7, 2)),
-        solver=SolverConfig(tol=3e-3, max_outer=60, inner_steps=200),
+        solver=SolverConfig(tol=3e-3, max_outer=60),
     )
+    monkeypatch.setattr(solver, "INNER_STEPS", 200)
     t0 = time.perf_counter()
     report = run_onevsall(spec, 3)
     print(f"criterion 10: {time.perf_counter() - t0:.0f}s")

@@ -18,7 +18,7 @@ from imputed_ridge import (
     split,
     sweep_fraction,
 )
-from imputed_ridge import bench
+from imputed_ridge import bench, solver
 from imputed_ridge.bench import (
     canonical_methods,
     derive_seed,
@@ -27,7 +27,13 @@ from imputed_ridge.bench import (
 )
 
 SMALL_GRID = (-6, -4, -2, 0)
-FAST = SolverConfig(tol=1e-2, max_outer=40, inner_steps=200)
+FAST = SolverConfig(tol=1e-2, max_outer=40)
+
+
+@pytest.fixture(autouse=True)
+def fast_master(monkeypatch):
+    """Every solve here runs under FAST, with 200 master steps per outer iteration."""
+    monkeypatch.setattr(solver, "INNER_STEPS", 200)
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +256,29 @@ def test_sweep_fraction_rows(linear_csv):
         sweep_fraction(spec, [0.0])
     with pytest.raises(ValueError, match="at least one"):
         sweep_fraction(spec, [])
+
+
+def test_sweep_fraction_loads_once(linear_csv, monkeypatch):
+    """A sweep reads and normalizes the CSV once, and each fraction's rows
+    are those of its own run_experiment."""
+    spec = base_spec(linear_csv, methods=("zero", "irr"), trials=1)
+    fractions = [0.9, 0.75, 0.6]
+    want = [(f, name, res.rmse_mean, res.rmse_std)
+            for f in fractions
+            for name, res in run_experiment(replace(spec, target_fraction=f)).methods.items()]
+    loads = []
+
+    def counted(*args):
+        loads.append(args)
+        return load_csv(*args)
+
+    monkeypatch.setattr(bench, "load_csv", counted)
+    assert sweep_fraction(spec, fractions) == want
+    assert len(loads) == 1
+    loads.clear()
+    with pytest.raises(ValueError, match="fractions"):
+        sweep_fraction(spec, [0.9, 1.5])
+    assert loads == []
 
 
 def test_onevsall_validation(digits_csv, tmp_path):

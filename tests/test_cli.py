@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from imputed_ridge import solver
 from imputed_ridge.cli import build_parser, main
 
 
@@ -108,9 +109,10 @@ def test_bench_nonexistent_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_solver_config_file(data_csv, tmp_path):
+def test_solver_config_file(data_csv, tmp_path, monkeypatch):
+    monkeypatch.setattr(solver, "INNER_STEPS", 100)
     cfg = tmp_path / "solver.json"
-    cfg.write_text('{"tol": 1e-2, "max_outer": 30, "inner_steps": 100}')
+    cfg.write_text('{"tol": 1e-2, "max_outer": 30}')
     out = tmp_path / "r.json"
     code = main(
         ["bench", "--data", data_csv, "--out", str(out), "--solver-config", str(cfg)]
@@ -135,6 +137,20 @@ def test_solver_config_file_rejected(data_csv, tmp_path, capsys, text):
     )
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_solver_config_file_names_removed_key(data_csv, tmp_path, capsys):
+    """The master's step count is not a setting: the key is unknown."""
+    cfg = tmp_path / "solver.json"
+    cfg.write_text('{"inner_steps": 100}')
+    code = main(
+        ["bench", "--data", data_csv, "--out", str(tmp_path / "r.json"),
+         "--solver-config", str(cfg)]
+        + COMMON
+        + ["--methods", "irr"]
+    )
+    assert code == 1
+    assert "unknown solver config keys: inner_steps" in capsys.readouterr().err
 
 
 def test_sweep_writes_tsv(data_csv, tmp_path):

@@ -9,7 +9,6 @@ from imputed_ridge import (
     corrupt_independent,
     impute_dataset,
     lift,
-    relaxed_core,
 )
 from imputed_ridge.kernel import (
     _basis,
@@ -108,8 +107,8 @@ def test_build_kmn_matches_entry_formula(rng):
             assert K[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
-def test_relaxed_apply_is_cross_block_of_core(rng):
-    """K(test, train) alpha equals the cross block of F S F' on the stacked rows.
+def test_relaxed_apply_is_cross_block_of_kmn(rng):
+    """K(test, train) alpha equals the cross block of build_kmn on the stacked rows.
 
     Test rows mask the columns no training row masks, and M has nonzero
     entries in those columns, so the M term the training side never
@@ -127,16 +126,14 @@ def test_relaxed_apply_is_cross_block_of_core(rng):
         alpha = rng.standard_normal(m)
         got = relaxed_apply(train.X, 1.0 - train.Z, M, N, alpha, X0, Z0)
 
-        X = np.concatenate([train.X, X0])
-        Zb = 1.0 - np.concatenate([train.Z, Z0])
-        active = np.flatnonzero(Zb.any(axis=0))
-        K = relaxed_core(_basis(X, Zb, active), M, N[active], active)
-        want = K[m:, :m] @ alpha
+        rows = Dataset(np.concatenate([train.X, X0]), np.concatenate([train.Z, Z0]),
+                       np.zeros(m + n))
+        want = build_kmn(rows, M, LiftedTensor(N, 1e9))[m:, :m] @ alpha
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
 
 def test_relaxed_apply_block_boundaries(rng):
-    """Row counts around the block size give the cross block of the core.
+    """Row counts around the block size give the cross block of build_kmn.
 
     relaxed_apply walks X0 in blocks of _block_rows(d) rows, so a batch
     one row short of a block, exactly one, one over and two plus a
@@ -155,17 +152,15 @@ def test_relaxed_apply_block_boundaries(rng):
             assert got.shape == (n,) and got.dtype == np.float64
             if n == 0:
                 continue
-            # the core's cross block, 256 test rows at a time stacked
+            # build_kmn's cross block, 256 test rows at a time stacked
             # under the training rows, so no n x n matrix is formed
-            X = np.concatenate([train.X, test.X])
-            Zb = 1.0 - np.concatenate([train.Z, test.Z])
-            active = np.flatnonzero(Zb.any(axis=0))
-            F = _basis(X, Zb, active)
             want = np.empty(n)
             for i in range(0, n, 256):
-                rows = np.r_[0:m, m + i : m + min(n, i + 256)]
-                K = relaxed_core(F[rows], M, N[active], active)
-                want[i : i + 256] = K[m:, :m] @ alpha
+                j = min(n, i + 256)
+                rows = Dataset(np.concatenate([train.X, test.X[i:j]]),
+                               np.concatenate([train.Z, test.Z[i:j]]), np.zeros(m + j - i))
+                K = build_kmn(rows, M, LiftedTensor(N, 1e9))
+                want[i:j] = K[m:, :m] @ alpha
             np.testing.assert_allclose(
                 got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max())
             )
