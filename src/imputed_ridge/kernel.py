@@ -37,7 +37,8 @@ relaxed_apply is the kernel-vector form: K(X0 rows, X rows) alpha for
 any rows X0, which gives dual predictions and kernel-vector products
 without forming either matrix, in row blocks of a fixed byte size, so
 no n x d temporary either.  Since a' K a is affine in (M, N) for a fixed
-vector a, its coefficients (quad_factors) are also its gradient.
+vector a, its coefficients (quad_factors) are also its gradient, and
+quad_value evaluates that affine map at any (M, N).
 
 Budgets are Frobenius balls: ||M||_F <= gamma and
 sqrt(sum_k ||N_k||_F^2) <= gamma^2.
@@ -154,6 +155,15 @@ def quad_factors(X, Zb, a):
     return float(s @ s), s, V
 
 
+def quad_value(s, V, Ma, Ns):
+    """a' K(M, N) a - const = 2 sum_k s_k (M[:, k] . V[:, k]) + sum_k
+    V[:, k]' N_k V[:, k] for quad_factors' (s, V), over the features k of
+    the columns of ``Ma`` and the slices of ``Ns``: linear, O(a d^2)."""
+    return 2.0 * float(s @ np.einsum("rk,rk->k", Ma, V)) + float(
+        np.einsum("krs,rk,sk->", Ns, V, V)
+    )
+
+
 def _basis(X, Zb, active):
     """B = [X, Zb[:, k] * X for k in active], the m x d(1 + a) factor of K."""
     return np.concatenate([X] + [Zb[:, [k]] * X for k in active], axis=1)
@@ -168,7 +178,7 @@ def schur_factor(Ma, roots, active):
     and R_j's last n columns in columns d + j n .. d + (j + 1) n, where
     n leaves out the leading columns that no block keeps: a column is
     kept if its squared norm is above 1e-12 of the largest of all, and
-    zeroed if not.  With the ascending eigenpairs of _schur_separate, n
+    zeroed if not.  With the ascending eigenpairs of solver._schur_roots, n
     is the most any block keeps.  F[j] = [M_k, R_j's n columns].
     """
     sq = np.einsum("jsi,jsi->ji", roots, roots)

@@ -1,53 +1,35 @@
 """Joint training of the imputation map and a ridge regressor.
 
-The training objective is the dual ridge value y' (K + m*lam*I)^{-1} y
-minimized over the relaxed Gram family of kernel.py.  Because that
-family is affine in (M, N), the objective is a pointwise maximum of
-affine functions over dual vectors:
+The objective f(M, N) = y' (K(M, N) + m*lam*I)^{-1} y is minimized over
+the relaxed Gram family of kernel.py within the budget balls, in the
+Schur set C = {(M, N) : N_k - M_k M_k' PSD for every feature k}, M_k
+column k of M.  K(M, N) - K_exact(M) = sum_k D_k X (N_k - M_k M_k') X' D_k,
+D_k = diag(Zb[:, k]), so every kernel on C is PSD, for any data, and C
+holds every exact lift N_k = M_k M_k'.  On C, f is convex and smooth,
+and since alpha'K alpha is affine in (M, N), at the ridge solution alpha
+of a point (quad_factors' pair (s, V), kernel.quad_value's Q_alpha)
 
-    f(M, N) = max_alpha [ 2 alpha'y - alpha'(K(M, N) + m*lam*I) alpha ]
+    f(P) >= a0 - Q_alpha(P) for every P,  a0 = 2 y'alpha - m*lam ||alpha||^2 - ||X'alpha||^2,
 
-which this module minimizes with cutting planes over the Schur set
+with equality at the point, so -Q_alpha is f's gradient there.
+solve_irr runs Frank-Wolfe on that, from M = N = 0; each iteration:
 
-    C = {(M, N) : N_k - M_k M_k' >= 0 (PSD) for every feature k}
+  1. the ridge step at the incumbent, through its Schur factor L,
+     K = (B L)(B L)' (_schur_ridge, with _schur_roots' one batched eigh);
+  2. the linear step (_lmo): the maximum of Q_alpha over C and the balls
+     at a rank-one point S, with an upper bound G from a two-multiplier
+     dual, so a0 - G is a certified lower bound on the relaxed optimum;
+  3. stop when the incumbent is within relative tol of the best bound
+     (Diagnostics.gap, a certificate as in Jaggi 2013);
+  4. else a line search of f toward S (_line_search); the segment stays
+     in C and the balls, as they are convex.
 
-(M_k column k of M).  K(M, N) - K_exact(M) = sum_k D_k X (N_k - M_k M_k')
-X' D_k with D_k = diag(Zb[:, k]), so every kernel on C is PSD, for any
-data; C holds every exact lift N_k = M_k M_k' and so still relaxes
-exact imputation.  Each outer iteration:
-
-  1. at the current point of C, where K = (B L)(B L)' with the Schur
-     factor L of kernel.py, solve the ridge system for the maximizing
-     alpha (_schur_ridge) and add alpha to an active set;
-  2. re-minimize the active-set maximum over the Frobenius balls with
-     INNER_STEPS projected subgradient steps, in plane coordinates: the
-     iterate is a combination of the planes' and cuts' coefficient rows,
-     and the steps only need those rows' k x k Grams;
-  3. take one batched eigendecomposition of the blocks N_k - M_k M_k'
-     at that iterate: each block below -eps_psd adds a Schur cut, an
-     affine constraint that holds on C, and clipping the blocks'
-     negative eigenvalues gives the next point of C (_schur_separate);
-  4. stop when the incumbent's value and the master value agree to
-     relative tolerance.
-
-With gamma = 0 the master's steps have length 0, and with nothing
-missing (or X = 0) every plane is flat in (M, N), so the point stays
-at M = N = 0 and the second iteration stops with a gap of rounding
-size: plain ridge on the zero-filled rows, by the same path.
-
-Every alpha and every Schur cut enters the master step through the
-same factorization (quad_factors): its pair (s, V) gives one new row
-and column of each Gram in O(k d a), and one inner iteration costs
-O(k) for k planes and cuts, whatever d.  The iterate's (M, N) is
-rebuilt from its coefficients once per outer iteration.  No step of a
-solve forms an m x m matrix: O(m c^2) once for G = B'B, then per
-outer iteration O(m c) for one product with B, O(m d a) for the new
-plane and O(c^2 (1 + n) + c_L^3) for the ridge step, c = d(1 + a) and
-c_L = d + a n (kernel.schur_factor).  The solve returns the incumbent:
-the point of C with the lowest objective among those it evaluated.
-
-Primal ridge on explicit rows U (the benchmark's baselines) is
-ridge_weights: the d x d normal equations, never the m x m Gram U U'.
+With gamma = 0 or nothing missing (or X = 0), G = 0 and the first
+iteration stops: plain ridge on the zero-filled rows, by the same path.
+No step forms an m x m matrix: O(m c^2) once for G = B'B, then per ridge
+step O(m c + m d a + a d^3 + c^2 (1 + n) + c_L^3), c = d(1 + a), c_L =
+d + a n (kernel.schur_factor).  Primal ridge on explicit rows U (the
+benchmark's baselines) is ridge_weights, the d x d normal equations.
 """
 
 from __future__ import annotations
@@ -62,11 +44,13 @@ from typing import ClassVar
 import numpy as np
 
 from .dataset import Dataset
-from .kernel import LiftedTensor, _basis, quad_factors, relaxed_apply
+from .kernel import LiftedTensor, _basis, quad_factors, quad_value, relaxed_apply
 from .kernel import schur_factor, schur_l, schur_lt
 
-# Projected subgradient steps of one master solve (_master).
-INNER_STEPS = 500
+# Limits of _line_search (trials, slope share) and _lmo (evaluations,
+# relative gap, share of the solve's tol |objective|).
+LINE_TRIALS, LINE_SLOPE = 12, 0.05
+LMO_STEPS, LMO_RTOL, LMO_SHARE = 60, 1e-10, 0.01
 
 
 @dataclass(frozen=True)
@@ -89,11 +73,11 @@ class Hyperparams:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver limits: the relative gap tol at which a solve stops and
-    the most outer iterations it may take.
+    """Solver limits: the relative certified gap tol at which a solve
+    stops and the most outer iterations it may take.
 
-    eps_psd, not settable, is how far below zero a Schur block's
-    smallest eigenvalue may go before it is cut off.
+    eps_psd, not settable and not read by the solver, is the tolerance
+    to which a returned relaxed kernel is PSD, as callers check it.
     """
 
     tol: float = 1e-3
@@ -132,9 +116,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Diagnostics:
+    """How a solve ended: objective - gap is a certified lower bound on
+    the relaxed optimum, converged means gap <= tol |objective| stopped
+    it.  cuts is always 0, kept for readers of earlier results."""
+
     iterations: int
     gap: float
-    cuts: int  # Schur cuts added to the model
+    cuts: int
     objective: float
     converged: bool
 
@@ -170,220 +158,16 @@ def ridge_weights(U, y, lam) -> np.ndarray:
     return np.linalg.solve(G, U.T @ y)
 
 
-class _Rows:
-    """The planes and cuts of the cutting-plane model, in plane coordinates.
-
-    Row j is the affine map (M, N) -> a_j' K a_j - a_j' X X' a_j of one
-    dual vector a_j, given on the active features by quad_factors' pair
-    (s_j, V_j); a Schur cut has a pair of the same form
-    (_schur_separate).  Its M block is B_j = 2 V_j diag(s_j) and its N
-    block the outer products V_j[:, k] V_j[:, k]'; only B_j and V_j are
-    stored.  Planes come first, then cuts, each in the order they were
-    added.  The master step needs the rows' inner products, the two
-    k x k Grams
-
-        GM[i, j] = B_i . B_j = 4 sum_k s_ik s_jk (V_i[:, k] . V_j[:, k])
-        GN[i, j] = sum_k (V_i[:, k] . V_j[:, k])^2
-
-    grown by one row and column per new row in O(k d a), and carries
-    its iterate as coefficients (cM, cN) over the rows: the iterate's
-    M[:, active] is sum_j cM_j B_j and its N_k is
-    sum_j cN_j V_j[:, k] V_j[:, k]'.
-    ``const`` holds A0 for a plane (value A0 - row . x) and C0 for a cut
-    (value C0 + row . x >= 0).
-    """
-
-    def __init__(self, d, a):
-        self.planes = 0
-        self.const = np.zeros(0)
-        self.B = np.zeros((0, d * a))
-        self.V = np.zeros((0, d, a))
-        self.GM = np.zeros((0, 0))
-        self.GN = np.zeros((0, 0))
-        self.cM = np.zeros(0)
-        self.cN = np.zeros(0)
-
-    def add(self, const, s, V, cut):
-        """Append a plane after the planes, or a cut after the cuts."""
-        i = self.const.size if cut else self.planes
-        self.planes += not cut
-        B = (2.0 * V * s).ravel()
-
-        def insert(A, row):
-            return np.concatenate([A[:i], [row], A[i:]])
-
-        self.const = insert(self.const, const)
-        self.B = insert(self.B, B)
-        self.V = insert(self.V, V)
-        self.cM = insert(self.cM, 0.0)
-        self.cN = insert(self.cN, 0.0)
-        VV = np.einsum("jrk,rk->jk", self.V, V)
-        self.GM = _grow(self.GM, i, self.B @ B)
-        self.GN = _grow(self.GN, i, (VV * VV).sum(axis=1))
-
-    def iterate(self, gamma):
-        """The iterate's (M[:, active], N[active]), radially inside both balls.
-
-        The master tracks the balls' norms by updates that drift by
-        about 1e-13, so the rebuilt blocks are projected here with their
-        exact norms, and the coefficients scaled along.
-        """
-        Ma = (self.cM @ self.B).reshape(self.V.shape[1:])
-        Vt = self.V.transpose(2, 1, 0)  # Vt[k]'s columns: the rows' V_j[:, k]
-        Ns = (Vt * self.cN) @ Vt.transpose(0, 2, 1)
-        fM = _into_ball(Ma, gamma)
-        fN = _into_ball(Ns, gamma * gamma)
-        self.cM *= fM
-        self.cN *= fN
-        return Ma * fM, Ns * fN
-
-
-def _grow(G, i, g):
-    """Insert row and column i, holding g, into the symmetric matrix G."""
-    H = np.empty((g.size, g.size))
-    H[:i, :i], H[:i, i + 1 :] = G[:i, :i], G[:i, i:]
-    H[i + 1 :, :i], H[i + 1 :, i + 1 :] = G[i:, :i], G[i:, i:]
-    H[i] = g
-    H[:, i] = g
-    return H
-
-
-def _into_ball(A, radius):
-    """Factor f <= 1 with ||f A||_F <= radius, exactly in floating point."""
-    nrm = float(np.linalg.norm(A))
-    if nrm <= radius:
-        return 1.0
-    f = radius / nrm
-    while np.linalg.norm(f * A) > radius:
-        f = float(np.nextafter(f, 0.0))
-    return f
-
-
-def _master(rows, gamma):
-    """Minimize the active-set maximum over the budget balls in INNER_STEPS
-    steps, or fewer where the objective is flat.
-
-    The iterate x is sum_j (cM_j row_j^M + cN_j row_j^N) over the _Rows
-    ``rows``, starting from its coefficients: every plane is the affine
-    objective A0 - row . x and every cut the affine constraint
-    C0 + row . x >= 0.  Cut violations are repaired by exact projection
-    onto the violated halfspace; objective steps follow the subgradient
-    of the current maximizer with a c/sqrt(t) schedule, c calibrated to
-    the first subgradient so the initial step is on the budget's scale;
-    the two Frobenius balls (M block, N block) are enforced by radial
-    scaling.  Returns the best cut-feasible iterate's coefficients
-    (cM, cN) and its value.
-
-    Every step moves x along one row, so the loop works on the products
-    P = G c of the rows with the iterate, in O(k) per step for k rows:
-    a step updates P by one column of each Gram, and the squared norms
-    of the two blocks by the matching scalar terms.  Each ball's radial
-    scaling is a lazy per-block scale (the stored coefficients and
-    products are the true ones divided by it), folded back before it
-    can underflow: a small budget shrinks the N scale by about gamma on
-    every step.
-    """
-    GM, GN = rows.GM, rows.GN
-    eps = SolverConfig.eps_psd
-    npl, k = rows.planes, GM.shape[0]
-    have_cuts = k > npl
-    rM = gamma * gamma  # squared radii of the two balls
-    rN = rM * rM
-    dM = np.diag(GM).tolist()
-    dN = np.diag(GN).tolist()
-    # G[j] stacks row j of each Gram, so that a step of length tau along
-    # row j adds D G[j] to P[1:], D = diag(tau/sM, tau/sN)
-    G = np.stack([GM, GN], axis=1)
-    cM, cN = rows.cM.tolist(), rows.cN.tolist()
-    # row 0 holds the constants, the cuts' negated, so that u = w . P
-    # is the planes' values, then the cuts' values negated, with
-    # w = (1, -sM, -sN) the lazy scales
-    const = np.concatenate([rows.const[:npl], -rows.const[npl:]])
-    P = np.stack([const, GM @ rows.cM, GN @ rows.cN])
-    PG = P[1:]
-    w = np.array([1.0, -1.0, -1.0])
-    u = np.empty(k)
-    u_planes, u_cuts = u[:npl], u[npl:]
-    D = np.empty((2, 1))
-    DG = np.empty((2, k))
-    sM = sN = 1.0
-    qM = float(rows.cM @ P[1])
-    qN = float(rows.cN @ P[2])
-    best_val = np.inf
-    best = (cM.copy(), cN.copy(), 1.0, 1.0)
-    step_scale = None
-
-    for t in range(1, INNER_STEPS + 1):
-        w.dot(P, out=u)
-        viol = 0.0
-        if have_cuts:
-            j = npl + int(u_cuts.argmax())
-            viol = -u.item(j)
-
-        if viol < -eps:
-            gsq = dM[j] + dN[j]
-            tau = -viol / gsq if gsq > 0.0 else 0.0
-        else:
-            j = int(u_planes.argmax())
-            val = u.item(j)
-            if val < best_val:
-                best_val = val
-                best = (cM.copy(), cN.copy(), sM, sN)
-            gnorm = math.sqrt(dM[j] + dN[j])
-            if gnorm <= 1e-14:
-                break  # objective is flat in (M, N); nothing to move
-            if step_scale is None:
-                step_scale = gamma / (1.0 + gnorm)
-            # decreasing the maximum means increasing the quadratic term;
-            # the step length is taken along the normalized direction so
-            # flat objectives still traverse the ball
-            tau = step_scale / (math.sqrt(t) * gnorm)
-
-        if tau != 0.0:
-            qM += tau * (2.0 * sM * P.item(1, j) + tau * dM[j])
-            qN += tau * (2.0 * sN * P.item(2, j) + tau * dN[j])
-            stepM, stepN = tau / sM, tau / sN
-            cM[j] += stepM
-            cN[j] += stepN
-            D[0, 0], D[1, 0] = stepM, stepN
-            np.multiply(G[j], D, out=DG)
-            PG += DG
-
-        if qM > rM:
-            sM *= math.sqrt(rM / qM)
-            qM = rM
-            w[1] = -sM
-        if qN > rN:
-            sN *= math.sqrt(rN / qN)
-            qN = rN
-            w[2] = -sN
-        if sM < 1e-60 or sN < 1e-60:
-            cM = [c * sM for c in cM]
-            cN = [c * sN for c in cN]
-            P[1] *= sM
-            P[2] *= sN
-            sM = sN = 1.0
-            w[1:] = -1.0
-
-    cM, cN, sM, sN = best
-    return np.array(cM) * sM, np.array(cN) * sN, best_val
-
-
 def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = None) -> IrrSolution:
-    """Cutting-plane minimization of the relaxed ridge objective.
+    """Certified Frank-Wolfe minimization of the relaxed ridge objective.
 
-    Starts from M = N = 0, which lies in the Schur set C.  Alternates
-    ridge solves at points of C, master re-minimization, and Schur cuts
-    with a move back into C until the relative gap between the best
-    objective found and the master value drops below config.tol.  Every
-    kernel evaluated is PSD.  Returns the incumbent, the evaluated point
-    of C with the lowest objective, which Diagnostics.objective reports.
-    Diagnostics.converged is True only when that test fired; a run that
-    stops at config.max_outer reports False, whatever its last gap.
-    (The master value is the model's value at an approximate minimizer,
-    so it is not a certified lower bound.)  Raises ValueError for an
-    empty training set, and for a lam so small that m*lam is below
-    1e-12 of the kernel scale ||X||_F^2 (1 + gamma)^2.
+    Returns the incumbent, the evaluated point of C with the lowest
+    objective; every kernel evaluated is PSD.  Diagnostics.gap is its
+    distance to the best certified lower bound, and converged is True
+    only when gap <= config.tol |objective| stopped the solve, not
+    config.max_outer or a descent lost in rounding.  Raises ValueError
+    for an empty training set, and for a lam so small that m*lam is
+    below 1e-12 of the kernel scale ||X||_F^2 (1 + gamma)^2.
     """
     cfg = config or SolverConfig()
     X, Z, y = train.X, train.Z, train.y
@@ -404,57 +188,277 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
             f"below 1e-12 of the kernel scale {scale:g}"
         )
 
-    B = _basis(X, Zb, active)
-    G, By = B.T @ B, B.T @ y
-    rows = _Rows(d, a)
-    Ma, Ns, roots = np.zeros((d, a)), np.zeros((a, d, d)), np.zeros((a, d, d))
-
-    upper_best = np.inf
-    lower = -np.inf
+    obj = _Objective(X, Zb[:, active], y, active, mlam)
+    Ma, Ns = np.zeros((d, a)), np.zeros((a, d, d))
+    alpha, fac = obj.ridge(Ma, Ns, roots=Ns)  # 0 is the blocks' root at 0
+    upper, lower = float(y @ alpha), -np.inf
+    pq = None
     converged = False
 
     for it in range(1, cfg.max_outer + 1):
-        # (Ma, Ns) lies in C, where roots factor its blocks N_k - M_k M_k'
-        alpha = _schur_ridge(B, G, By, y, schur_factor(Ma, roots, active), active, mlam)
-        f_cur = float(y @ alpha)
-        if f_cur < upper_best:
-            upper_best = f_cur
-            incumbent = (Ma, Ns, alpha)
-        _, s, V = quad_factors(X, Zb, alpha)
-        a0 = 2.0 * f_cur - mlam * float(alpha @ alpha) - float(s @ s)
-        rows.add(a0, s[active], V[:, active], cut=False)
-
-        gap = upper_best - lower
-        if gap <= cfg.tol * max(abs(upper_best), 1e-12):
+        # (Ma, Ns) is the incumbent; alpha solves its ridge system (fac)
+        c0, s, V = quad_factors(X, obj.Zba, alpha)
+        s = s[active]
+        a0 = 2.0 * upper - mlam * float(alpha @ alpha) - c0
+        slack = LMO_SHARE * cfg.tol * abs(upper)
+        bound, Sm, Sn, pq = _lmo(s, V, hp.gamma, pq, slack)
+        lower = max(lower, a0 - bound)
+        gap = upper - lower
+        if gap <= cfg.tol * max(abs(upper), 1e-12):
             converged = True
             break
+        Dm, Dn = Sm - Ma, Sn - Ns
+        g0 = -quad_value(s, V, Dm, Dn)  # slope of f from (Ma, Ns) toward S
+        if it == cfg.max_outer or not g0 < 0.0:
+            break  # out of iterations, or no descent direction above rounding
+        eta = min(1.0, -g0 / max(obj.curvature(fac, s, V, Dm, Dn), 1e-300))
+        trial = _line_search(obj, Ma, Ns, Dm, Dn, g0, eta)
+        if not trial[0] < upper:
+            break  # no trial improved on the incumbent: descent is below rounding
+        upper, Ma, Ns, alpha, fac = trial
 
-        rows.cM, rows.cN, lower = _master(rows, hp.gamma)
-        Ma, Ns, roots = _schur_separate(rows, *rows.iterate(hp.gamma), hp.gamma, cfg.eps_psd)
-
-    Ma, Ns, alpha = incumbent
     M, N = np.zeros((d, d)), np.zeros((d, d, d))
     M[:, active], N[active] = Ma, Ns
+    diag = Diagnostics(it, float(max(gap, 0.0)), 0, upper, converged)
+    return IrrSolution(alpha, M, LiftedTensor(N, hp.gamma**2), train, hp, diag)
 
-    diag = Diagnostics(
-        iterations=it,
-        gap=float(max(gap, 0.0)),
-        cuts=rows.const.size - rows.planes,
-        objective=float(upper_best),
-        converged=converged,
-    )
-    return IrrSolution(
-        alpha=alpha,
-        M=M,
-        N=LiftedTensor(N, hp.gamma**2),
-        train=train,
-        hp=hp,
-        diagnostics=diag,
-    )
+
+class _Objective:
+    """f on C for one training set, with B, G = B'B and B'y formed once;
+    Zba holds the masks Zb[:, k] of the active features k."""
+
+    def __init__(self, X, Zba, y, active, mlam):
+        self.B = _basis(X, Zba, range(active.size))
+        self.G, self.By = self.B.T @ self.B, self.B.T @ y
+        self.X, self.Zba, self.y, self.active, self.mlam = X, Zba, y, active, mlam
+
+    def ridge(self, Ma, Ns, roots=None):
+        """(alpha, (F, A)) at the point (Ma, Ns) of C: F its Schur factor,
+        from ``roots`` of its blocks or _schur_roots, A = L'GL + m*lam*I."""
+        roots = _schur_roots(Ma, Ns) if roots is None else roots
+        F = schur_factor(Ma, roots, self.active)
+        alpha, A = _schur_ridge(self.B, self.G, self.By, self.y, F, self.active, self.mlam)
+        return alpha, (F, A)
+
+    def curvature(self, fac, s, V, Dm, Dn):
+        """f's second derivative along (Dm, Dn) at the point with ridge
+        factors fac and quad_factors pair (s, V): 2 u'(K + m*lam*I)^{-1} u
+        for u = K_D alpha = B theta, K_D the part of K linear in (Dm, Dn),
+        which by Woodbury is 2 (theta'G theta - w'A^{-1} w) / (m*lam),
+        w = L'G theta."""
+        d = Dm.shape[0]
+        theta = np.zeros(self.B.shape[1])
+        theta[self.active] = np.einsum("rk,rk->k", Dm, V)
+        theta[d:] = (Dm * s + np.einsum("krs,sk->rk", Dn, V)).T.ravel()
+        F, A = fac
+        Gt = self.G @ theta
+        w = schur_lt(F, self.active, Gt[:, None])[:, 0]
+        return 2.0 * (theta @ Gt - w @ np.linalg.solve(A, w)) / self.mlam
+
+
+def _schur_roots(Ma, Ns):
+    """Roots U_k diag(sqrt(w_k)) of the blocks N_k - M_k M_k' = U_k diag(w_k) U_k'.
+
+    One batched eigh of the a blocks, M_k column k of Ma.  On C the
+    blocks are PSD, so the eigenvalues below zero are rounding and are
+    clipped to 0; the eigenpairs come in ascending order.
+    """
+    w, U = np.linalg.eigh(Ns - np.einsum("rk,sk->krs", Ma, Ma))
+    return U * np.sqrt(np.maximum(w, 0.0))[:, None, :]
+
+
+def _line_search(obj, Ma, Ns, Dm, Dn, g0, eta):
+    """Minimize the convex phi(eta) = f((Ma, Ns) + eta (Dm, Dn)) on [0, 1]
+    from a first trial at ``eta``; phi'(0) = g0 < 0.
+
+    A trial is one ridge step, and phi' = -Q_alpha(Dm, Dn) there.  The
+    search stops at |phi'| <= LINE_SLOPE |g0|, at eta = 1 with phi' <= 0,
+    or after LINE_TRIALS trials: until phi' changes sign it extrapolates
+    the secant through 0, at least 4-fold, then takes Illinois steps on
+    the bracket.
+    Returns (f, Ma, Ns, alpha, fac) of the trial with the lowest f.
+    """
+    lo, hi = [0.0, g0], None
+    kept = 0  # +1 or -1 when the last trial replaced hi or lo
+    best = None
+    for _ in range(LINE_TRIALS):
+        Mt, Nt = Ma + eta * Dm, Ns + eta * Dn
+        alpha, fac = obj.ridge(Mt, Nt)
+        f = float(obj.y @ alpha)
+        if best is None or f < best[0]:
+            best = (f, Mt, Nt, alpha, fac)
+        _, s, V = quad_factors(obj.X, obj.Zba, alpha)
+        g = -quad_value(s[obj.active], V, Dm, Dn)
+        if (g <= 0.0 and eta == 1.0) or abs(g) <= LINE_SLOPE * -g0:
+            break
+        # Illinois: halve the kept end's slope when the same end moves twice
+        if g > 0.0:
+            if kept == 1:
+                lo[1] *= 0.5
+            hi, kept = [eta, g], 1
+        else:
+            if kept == -1 and hi is not None:
+                hi[1] *= 0.5
+            lo, kept = [eta, g], -1
+        if hi is None:  # at least 4 times further until phi' changes sign
+            eta = min(1.0, max(4.0 * eta, eta * g0 / (g0 - g) if g0 < g else 1.0))
+        else:
+            eta = lo[0] - lo[1] * (hi[0] - lo[0]) / (hi[1] - lo[1])
+    return best
+
+
+def _lmo(s, V, gamma, pq, slack=0.0):
+    """Maximize Q_alpha over C and the balls, for quad_factors' (s, V) on
+    the active features: (G, Sm, Sn, pq), an upper bound G, a point of C
+    in both balls with Q within max(LMO_RTOL G, slack) of G (unless
+    LMO_STEPS ran out), and the multipliers to warm-start the next call.
+
+    As v'N_k v >= (M_k . v)^2 on C, the maximum is attained at M_k =
+    gamma mu_k sign(s_k) V^_k, N_k = gamma^2 nu_k V^_k V^_k', V^_k =
+    V_k / ||V_k||, and is max sum_k b_k mu_k + c_k nu_k subject to
+    ||mu||, ||nu|| <= 1 and nu_k >= mu_k^2 >= 0, b_k = 2 gamma |s_k| ||V_k||,
+    c_k = gamma^2 ||V_k||^2.  Each p >= 0, q > 0 bounds it by weak duality:
+
+        G(p, q) = p + q + sum_k max_{mu >= 0, nu >= mu^2} b_k mu + c_k nu - p mu^2 - q nu^2,
+
+    in closed form (_lmo_inner).  Damped Newton steps lower the convex G
+    until the maximizers, scaled into the balls, come close; stopping
+    early only loosens G.  b and c are divided by their largest entry,
+    so (p, q) are of order one.  One live feature has mu = nu = 1.
+    """
+    d, a = V.shape
+    nv = np.sqrt(np.einsum("rk,rk->k", V, V))
+    b = 2.0 * gamma * np.abs(s) * nv
+    c = gamma * gamma * nv * nv
+    top = max(float(b.max(initial=0.0)), float(c.max(initial=0.0)))
+    Sm, Sn = np.zeros((d, a)), np.zeros((a, d, d))
+    if top == 0.0:
+        return 0.0, Sm, Sn, pq  # Q is 0 on the whole set: gamma = 0 or V = 0
+    live = (b > 0.0) | (c > 0.0)
+    if live.sum() == 1:
+        # one feature: mu = nu = 1 meets both balls, and G = b + c is that
+        # point's value (the optimal (p, q) form a line, where Newton stalls)
+        nu = live.astype(float)
+        mu = nu * (b > 0.0)
+        return _rank_one(V, nv, s, gamma, mu, nu) + (pq,)
+    b, c = b[live] / top, c[live] / top
+    if not b.any():
+        p, q = 0.0, float(np.linalg.norm(c)) / 2.0
+    elif pq is None:
+        p, q = float(np.linalg.norm(b)) / 2.0, max(float(np.linalg.norm(c)), 1e-6) / 2.0
+    else:
+        p, q = pq
+    best_G, best_P = np.inf, -np.inf
+    base = None  # (G, p, q, slope) where the last Newton step started
+    p_cap = p
+    for _ in range(LMO_STEPS):
+        G, (gp, gq), (hpp, hpq, hqq), mu, nu = _lmo_inner(b, c, p, q)
+        t = 1.0 / max(1.0, math.sqrt(mu @ mu), math.sqrt(math.sqrt(nu @ nu)))
+        P = t * float(b @ mu) + t * t * float(c @ nu)
+        if G < best_G:
+            best_G, best_pq = G, (p, q)
+        if P > best_P:
+            best_P, best_mu, best_nu = P, t * mu, t * t * nu
+        if best_G - best_P <= max(LMO_RTOL * best_G, slack / top):
+            break
+        if base is not None and G > base[0] + 1e-4 * step * base[3] + 1e-15 * base[0]:
+            # backtrack along the last step, to the root of the secant of
+            # G's slope along it where that slope is now positive
+            s1 = gp * dp + gq * dq
+            step *= min(0.5, max(0.02, base[3] / (base[3] - s1))) if s1 > 0.0 else 0.5
+            p, q = max(base[1] + step * dp, 0.0), base[2] + step * dq
+            continue
+        # Newton step on H + tiny I (H is singular when optimal (p, q) form
+        # a line); at p = 0 only q moves if p would not rise.
+        reg = 1e-12 * (hpp + hqq)
+        dp = 0.0
+        if not (p == 0.0 and gp >= 0.0):
+            det = (hpp + reg) * (hqq + reg) - hpq * hpq
+            dp = ((hqq + reg) * -gp + hpq * gq) / det
+            dq = (hpq * gp - (hpp + reg) * gq) / det
+        if p == 0.0 and dp <= 0.0:
+            dp, dq = 0.0, -gq / (hqq + reg)
+        # It stops at p = 0 and changes q, and p upward, by at most a
+        # factor 4 (from 0, up to the last positive p): H jumps where a
+        # feature changes branch, so a full step can overshoot far.
+        p_cap = p if p > 0.0 else p_cap
+        step = 1.0
+        if dp < 0.0:
+            step = min(step, p / -dp)
+        elif dp > 0.0 and p_cap > 0.0:
+            step = min(step, 3.0 * p_cap / dp if p > 0.0 else p_cap / dp)
+        if dq != 0.0:
+            step = min(step, 3.0 * q / dq if dq > 0.0 else 0.75 * q / -dq)
+        base = (G, p, q, gp * dp + gq * dq)
+        p, q = max(p + step * dp, 0.0), q + step * dq
+    mu, nu = np.zeros(a), np.zeros(a)
+    mu[live], nu[live] = best_mu, best_nu
+    _, Sm, Sn = _rank_one(V, nv, s, gamma, mu, nu)
+    return best_G * top, Sm, Sn, best_pq
+
+
+def _rank_one(V, nv, s, gamma, mu, nu):
+    """(Q, M, N) at M_k = gamma mu_k sign(s_k) V^_k, N_k = gamma^2 nu_k V^_k V^_k',
+    V^_k = V_k / ||V_k|| (nv holds the norms)."""
+    Vh = V / np.where(nv > 0.0, nv, 1.0)
+    Sm = Vh * (gamma * mu * np.sign(s))
+    Sn = (gamma * gamma * nu)[:, None, None] * np.einsum("rk,sk->krs", Vh, Vh)
+    Q = float(2.0 * gamma * (np.abs(s) * nv) @ mu + gamma * gamma * (nv * nv) @ nu)
+    return Q, Sm, Sn
+
+
+def _lmo_inner(b, c, p, q):
+    """G(p, q) of _lmo, its gradient (1 - ||mu||^2, 1 - ||nu||^2), Hessian
+    and maximizers.  The best nu for a mu is max(c / 2q, mu^2), so: if
+    b <= 2p sqrt(c / 2q), mu = b / 2p and nu = c / 2q; else nu = mu^2,
+    mu the positive root of 4q mu^3 - 2(c - p) mu - b (_cubic_root)."""
+    r2 = c / (2.0 * q)
+    first = b * b <= 4.0 * p * p * r2
+    mu, nu = np.empty_like(b), np.empty_like(b)
+    hpp = hpq = hqq = 0.0
+    if first.any():
+        m1 = b[first] / (2.0 * p) if p > 0.0 else np.zeros(int(first.sum()))
+        mu[first], nu[first] = m1, r2[first]
+        hpp += 2.0 * float(m1 @ m1) / p if p > 0.0 else 0.0
+        hqq += 2.0 * float(r2[first] @ r2[first]) / q
+    if not first.all():
+        second = ~first
+        x, D = _cubic_root(b[second], c[second] - p, q)
+        x2 = x * x
+        mu[second], nu[second] = x, x2
+        hpp += float((4.0 * x2 / D).sum())
+        hpq += float((8.0 * x2 * x2 / D).sum())
+        hqq += float((16.0 * x2 * x2 * x2 / D).sum())
+    G = p + q + float(b @ mu + c @ nu - p * (mu @ mu) - q * (nu @ nu))
+    return G, (1.0 - float(mu @ mu), 1.0 - float(nu @ nu)), (hpp, hpq, hqq), mu, nu
+
+
+def _cubic_root(b, k, q):
+    """The positive root x of 4q x^3 - 2k x - b (b, q > 0) and D = 12q x^2
+    - 2k > 0 there.  With P = k / 6q, h = b / 8q and z = h / |P|^1.5 it is
+    2 sqrt(P) cos(acos(z) / 3) (P > 0, z <= 1), 2 sqrt(P) cosh(acosh(z) / 3)
+    (P > 0, z > 1) or 2 sqrt(-P) sinh(asinh(z) / 3) (P <= 0), free of
+    cancellation; one Newton step polishes where acos loses digits."""
+    P, h = k / (6.0 * q), b / (8.0 * q)
+    rt = np.sqrt(np.abs(P))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z = h / (rt * rt * rt)
+        x = np.where(
+            P > 0.0,
+            np.where(z <= 1.0, np.cos(np.arccos(np.minimum(z, 1.0)) / 3.0),
+                     np.cosh(np.arccosh(np.maximum(z, 1.0)) / 3.0)),
+            np.sinh(np.arcsinh(z) / 3.0),
+        ) * (2.0 * rt)
+    # P = 0 or z overflowing: the cube root of 2h is the root
+    x = np.where(np.isfinite(x) & (x > 0.0), x, np.cbrt(2.0 * h))
+    D = 12.0 * q * x * x - 2.0 * k
+    x = x - (4.0 * q * x * x * x - 2.0 * k * x - b) / D
+    return x, 12.0 * q * x * x - 2.0 * k
 
 
 def _schur_ridge(B, G, By, y, F, active, mlam):
-    """Dual ridge weights alpha = (Phi Phi' + m*lam*I)^{-1} y, Phi = B L.
+    """Dual ridge weights alpha = (Phi Phi' + m*lam*I)^{-1} y, Phi = B L, and
+    the matrix L'GL + m*lam*I solved for them.
 
     L is the factor kernel.schur_factor gives as F.  By Woodbury
     alpha = (y - Phi v) / (m*lam), (L'GL + m*lam*I) v = L'B'y, with G = B'B
@@ -469,40 +473,7 @@ def _schur_ridge(B, G, By, y, F, active, mlam):
     H = schur_lt(F, active, np.column_stack([GL, By]))  # [L'G L, L'B'y]
     H.flat[:: H.shape[1] + 1] += mlam
     v = np.linalg.solve(H[:, :-1], H[:, -1:])
-    return (y - B @ schur_l(F, active, v)[:, 0]) / mlam
-
-
-def _schur_separate(rows, Ma, Ns, gamma, eps):
-    """Cut (Ma, Ns) off the Schur set C and return a point of C near it.
-
-    C asks N_k - M_k M_k' >= 0 for every active feature k, M_k column k
-    of Ma.  One batched eigh of those a blocks gives both results.  A
-    block whose smallest eigenvalue is below -eps, with unit eigenvector
-    v, adds the cut u0^2 + 2 u0 (M_k . v) + v' N_k v >= 0, u0 = -M_k . v:
-    it is u' [[1, M_k'], [M_k, N_k]] u >= 0 at u = (u0, v), valid on all
-    of C and violated here by that eigenvalue, and in quad_factors form
-    it is const u0^2, s = u0 e_k and V with v as its only column, k.
-    The point returned is (t Ma, t^2 N'), N'_k = M_k M_k' plus the
-    block's positive part, with t <= 1 the largest factor inside both
-    balls; it is (Ma, Ns) itself when no block is negative.  With it
-    come the roots U_k diag(sqrt(w_k)) of N_k - M_k M_k' = U_k diag(w_k) U_k'.
-    """
-    d, a = Ma.shape
-    MM = np.einsum("rk,sk->krs", Ma, Ma)
-    w, U = np.linalg.eigh(Ns - MM)
-    for k in np.flatnonzero(w[:, 0] < -eps):
-        v = U[k, :, 0]
-        u0 = -float(Ma[:, k] @ v)
-        s, V = np.zeros(a), np.zeros((d, a))
-        s[k], V[:, k] = u0, v
-        rows.add(u0 * u0, s, V, cut=True)
-    neg = w[:, 0] < 0.0
-    if not neg.any():
-        return Ma, Ns, U * np.sqrt(w)[:, None, :]
-    w = np.maximum(w, 0.0)
-    Ns = np.where(neg[:, None, None], MM + (U * w[:, None, :]) @ U.transpose(0, 2, 1), Ns)
-    t2 = _into_ball(Ns, gamma * gamma)
-    return Ma * math.sqrt(t2), Ns * t2, U * np.sqrt(t2 * w)[:, None, :]
+    return (y - B @ schur_l(F, active, v)[:, 0]) / mlam, H[:, :-1]
 
 
 def predict_batch(sol: IrrSolution, test: Dataset) -> np.ndarray:

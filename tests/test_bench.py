@@ -18,7 +18,7 @@ from imputed_ridge import (
     split,
     sweep_fraction,
 )
-from imputed_ridge import bench, solver
+from imputed_ridge import bench
 from imputed_ridge.bench import (
     canonical_methods,
     derive_seed,
@@ -28,12 +28,6 @@ from imputed_ridge.bench import (
 
 SMALL_GRID = (-6, -4, -2, 0)
 FAST = SolverConfig(tol=1e-2, max_outer=40)
-
-
-@pytest.fixture(autouse=True)
-def fast_master(monkeypatch):
-    """Every solve here runs under FAST, with 200 master steps per outer iteration."""
-    monkeypatch.setattr(solver, "INNER_STEPS", 200)
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from imputed_ridge import solver
 from imputed_ridge.cli import build_parser, main
 
 
@@ -109,8 +108,7 @@ def test_bench_nonexistent_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_solver_config_file(data_csv, tmp_path, monkeypatch):
-    monkeypatch.setattr(solver, "INNER_STEPS", 100)
+def test_solver_config_file(data_csv, tmp_path):
     cfg = tmp_path / "solver.json"
     cfg.write_text('{"tol": 1e-2, "max_outer": 30}')
     out = tmp_path / "r.json"

@@ -19,9 +19,7 @@ from imputed_ridge.kernel import (
     schur_l,
     schur_lt,
 )
-from imputed_ridge.solver import _Rows
-from tests.conftest import random_corrupted
-from tests.master_reference import assert_rows_match, flat_row
+from tests.conftest import flat_row, random_corrupted
 
 
 def random_lifted(rng, d, scale=0.5):
@@ -192,13 +190,11 @@ def test_quad_factors_reproduce_quadratic(rng):
 def test_gradient_matches_finite_differences(rng):
     """Central differences on alpha' K alpha, entry by entry.
 
-    The analytic side is the (s, V) form the master step uses:
-    quad_factors' pair on the active features gives the gradient
-    2 s_k V[:, k] in M[:, k] and V[:, k] V[:, k]' in N_k (flat_row
-    builds it here).  Columns of M and slices of N for features with no
-    masked entry do not enter K at all.  The Grams solver._Rows keeps
-    for these rows, and the iterate it rebuilds, must be those of
-    exactly these rows.
+    The analytic side is the (s, V) form the solver's line search and
+    linear step use: quad_factors' pair on the active features gives the
+    gradient 2 s_k V[:, k] in M[:, k] and V[:, k] V[:, k]' in N_k
+    (flat_row builds it here).  Columns of M and slices of N for
+    features with no masked entry do not enter K at all.
     """
     h = 1e-6
     for _ in range(10):
@@ -208,14 +204,9 @@ def test_gradient_matches_finite_differences(rng):
         Zb = 1.0 - ds.Z
         active = np.flatnonzero(Zb.any(axis=0))
         inactive = np.flatnonzero(~Zb.any(axis=0))
-        alphas = rng.standard_normal((3, m))
-        rows = _Rows(d, active.size)
-        flats = []
-        for alpha in alphas:
-            _, s, V = quad_factors(ds.X, Zb, alpha)
-            rows.add(0.0, s[active], V[:, active], cut=False)
-            flats.append(flat_row(s[active], V[:, active]))
-        alpha, row = alphas[0], flats[0]
+        alpha = rng.standard_normal(m)
+        _, s, V = quad_factors(ds.X, Zb, alpha)
+        row = flat_row(s[active], V[:, active])
 
         def f(M, slices):
             N = LiftedTensor(slices, float(np.sqrt((slices**2).sum())) + 1e-9)
@@ -246,7 +237,6 @@ def test_gradient_matches_finite_differences(rng):
                        (fd_N[active].ravel(), row[dM:])):
             rel = np.linalg.norm(fd - an) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-4
-        assert_rows_match(rows, flats, dM, rng)
 
 
 def _point_of_c(rng, d, active, rank):

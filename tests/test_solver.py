@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,32 +20,22 @@ from imputed_ridge import (
     rmse,
     solve_irr,
 )
-from imputed_ridge import solver
-from imputed_ridge.kernel import _basis, schur_factor
-from imputed_ridge.solver import _master, _Rows, _schur_ridge, _schur_separate
+from imputed_ridge.kernel import _basis, quad_factors, quad_value, schur_factor
+from imputed_ridge.solver import _lmo, _Objective, _schur_ridge, _schur_roots
 from tests.conftest import random_corrupted
-from tests.master_reference import flat_master, flat_row
 
 
 @pytest.fixture
-def strong(monkeypatch):
-    """Tight limits: tol 1e-6, at most 60 outer iterations of 1500 master steps."""
-    monkeypatch.setattr(solver, "INNER_STEPS", 1500)
+def strong():
+    """Tight limits: tol 1e-6, at most 60 outer iterations."""
     return SolverConfig(tol=1e-6, max_outer=60)
-
-
-def solve_with_steps(monkeypatch, steps, ds, hp, cfg):
-    """solve_irr with ``steps`` master steps per outer iteration."""
-    with monkeypatch.context() as mp:
-        mp.setattr(solver, "INNER_STEPS", steps)
-        return solve_irr(ds, hp, cfg)
 
 
 def assert_plain_ridge_at_zero(sol):
     """The one-path solve of a problem with no imputation freedom: M = N = 0,
-    certified at the second iteration, where the point has not moved."""
+    certified at the first iteration, where the linear step's bound is 0."""
     diag, tol = sol.diagnostics, SolverConfig().tol
-    assert diag.converged and diag.iterations == 2
+    assert diag.converged and diag.iterations == 1
     assert diag.gap <= tol * abs(diag.objective)
     assert np.all(sol.M == 0.0) and np.all(sol.N.slices == 0.0)
 
@@ -207,8 +198,13 @@ def _wide_basis_case():
     return Dataset(X * Z, Z, y), Hyperparams(lam=2.0**-5, gamma=2.0**-3)
 
 
+def schur_blocks(sol):
+    """The blocks N_k - M_k M_k' of a returned solution."""
+    return sol.N.slices - np.einsum("rk,sk->krs", sol.M, sol.M)
+
+
 def test_wide_basis_refit_repeatable_and_psd():
-    """Basis width d(1+a) = 272 just below m = 280, many Schur cuts.
+    """Basis width d(1+a) = 272 just below m = 280, with N off the exact lift.
 
     Two fits in one process agree bit for bit, and the returned relaxed
     kernel is PSD within eps_psd plus rounding.
@@ -217,7 +213,7 @@ def test_wide_basis_refit_repeatable_and_psd():
     s1 = solve_irr(ds, hp)
     s2 = solve_irr(ds, hp)
     assert s1.diagnostics == s2.diagnostics
-    assert s1.diagnostics.cuts >= 1
+    assert np.abs(schur_blocks(s1)).max() > 0.0
     np.testing.assert_array_equal(s1.alpha, s2.alpha)
     K = build_kmn(ds, s1.M, s1.N)
     floor = -SolverConfig().eps_psd - 1e-9 * np.abs(K).max()
@@ -227,8 +223,8 @@ def test_wide_basis_refit_repeatable_and_psd():
 def test_solutions_lie_in_schur_set():
     """Every returned (M, N) lies in C: N_k - M_k M_k' >= -eps_psd.
 
-    On the wide-basis case and rc cases at two budgets; each solve took
-    Schur cuts, so its iterates left C on the way.
+    On the wide-basis case and rc cases at two budgets; in each the
+    returned blocks are not all zero, so N is not the exact lift of M.
     """
     eps = SolverConfig().eps_psd
     cases = [_wide_basis_case()] + [
@@ -237,18 +233,17 @@ def test_solutions_lie_in_schur_set():
     ]
     for ds, hp in cases:
         sol = solve_irr(ds, hp)
-        assert sol.diagnostics.cuts >= 1
-        W = sol.N.slices - np.einsum("rk,sk->krs", sol.M, sol.M)
+        W = schur_blocks(sol)
+        assert np.abs(W).max() > 0.0
         assert np.linalg.eigvalsh(W)[:, 0].min() >= -eps
 
 
-def test_default_solve_agrees_with_tight_reference(monkeypatch):
+def test_default_solve_agrees_with_tight_reference():
     """Default solves converge, within 3e-3 of a tight reference.
 
     rc m=60, d=5, seeds 0-7 on a 2 x 2 grid of lam and gamma: every
     default solve reports converged, and its objective is at most
-    (1 + 3e-3) times that of a tol=1e-6 solve with longer limits and
-    2000 master steps.
+    (1 + 3e-3) times that of a tol=1e-6 solve with longer limits.
     """
     tight = SolverConfig(tol=1e-6, max_outer=1500)
     for seed in range(8):
@@ -257,43 +252,40 @@ def test_default_solve_agrees_with_tight_reference(monkeypatch):
             for gamma in (2.0**-2, 1.0):
                 hp = Hyperparams(lam, gamma)
                 got = solve_irr(ds, hp).diagnostics
-                ref = solve_with_steps(monkeypatch, 2000, ds, hp, tight).diagnostics
+                ref = solve_irr(ds, hp, tight).diagnostics
                 assert got.converged, (seed, lam, gamma)
                 assert got.objective <= (1.0 + 3e-3) * ref.objective, (seed, lam, gamma)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: master value is not a lower bound")
-def test_reported_bound_below_a_point_of_c(monkeypatch):
-    """objective - gap, the master value, is at most any point of C.
+def test_reported_bound_below_a_point_of_c():
+    """objective - gap, the certified bound, is at most any point of C.
 
     The tight solve's objective is that of a point of C it evaluated,
-    so a sound lower bound lies at or below it.  Here the default solve
-    stops converged with its bound above it.
+    so a sound lower bound lies at or below it.  The cutting-plane
+    solver reported a bound above it here (68.7077 against 68.6961).
     """
     ds = random_corrupted(np.random.default_rng(1), 60, 5)
     hp = Hyperparams(2.0**-8, 2.0**-6)
     got = solve_irr(ds, hp).diagnostics
     tight = SolverConfig(tol=1e-6, max_outer=2000)
-    ref = solve_with_steps(monkeypatch, 3000, ds, hp, tight).diagnostics
+    ref = solve_irr(ds, hp, tight).diagnostics
     assert got.objective - got.gap <= ref.objective
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-def test_converged_objective_near_tight_reference(monkeypatch):
-    """A solve that reports converged is within 10 tol of a tight solve.
+def test_converged_objective_near_tight_reference():
+    """A solve that reports converged is within 10 tol of a tight solve's
+    certified lower bound objective - gap.
 
-    Here the default solve stops converged after 2 iterations at about
-    1263, while a tol=1e-6 solve with 3000 master steps reaches about
-    1160 in 19.
+    The cutting-plane solver stopped converged here after 2 iterations
+    at about 1263, where the relaxed optimum is about 1160.
     """
     ds = random_corrupted(np.random.default_rng(0), 80, 4, beta=0.5)
     hp = Hyperparams(2.0**-12, 2.0**-2)
     got = solve_irr(ds, hp).diagnostics
     tight = SolverConfig(tol=1e-6, max_outer=100)
-    ref = solve_with_steps(monkeypatch, 3000, ds, hp, tight).diagnostics
-    assert ref.converged
+    ref = solve_irr(ds, hp, tight).diagnostics
     if got.converged:
-        assert got.objective <= (1.0 + 10 * SolverConfig().tol) * ref.objective
+        assert got.objective <= (1.0 + 10 * SolverConfig().tol) * (ref.objective - ref.gap)
 
 
 def test_factored_path_matches_dense():
@@ -339,13 +331,13 @@ def test_factored_path_matches_dense():
             assert np.linalg.eigvalsh(K)[0] >= -1e-12 * scale
             F = schur_factor(M[:, active], P[active], active)
             assert F.shape == (active.size, d, 1 + (trial % 2) * d)
-            alpha = _schur_ridge(B, G, By, y, F, active, mlam)
+            alpha = _schur_ridge(B, G, By, y, F, active, mlam)[0]
             dense = np.linalg.solve(K + mlam * np.eye(m), y)
             assert np.linalg.norm(alpha - dense) <= 1e-9 * np.linalg.norm(dense)
             # the primal solve on the imputed rows is the exact kernel's
             Ximp = ds.X + Zb * (ds.X @ M)
             exact = dense_alpha(build_km(ds, M), y, lam)
-            primal = _schur_ridge(Ximp, Ximp.T @ Ximp, Ximp.T @ y, y, no_blocks, [], mlam)
+            primal = _schur_ridge(Ximp, Ximp.T @ Ximp, Ximp.T @ y, y, no_blocks, [], mlam)[0]
             assert np.linalg.norm(primal - exact) <= 1e-9 * np.linalg.norm(exact)
     ds, hp = cases[2], Hyperparams(lam=0.5, gamma=1.0)
     sol = solve_irr(ds, hp)
@@ -355,36 +347,165 @@ def test_factored_path_matches_dense():
     np.testing.assert_array_equal(sol.M, 0.0)
 
 
-def test_schur_separate_roots_factor_blocks():
-    """The roots _schur_separate returns factor the blocks of its point.
+def test_schur_roots_factor_blocks():
+    """The roots _schur_roots returns factor the blocks of points of C.
 
-    Inside C (N_k = M_k M_k' + P_k P_k') the point comes back unchanged;
-    outside it (a symmetric perturbation with negative eigenvalues) the
-    blocks are clipped and scaled into the balls.  Either way
-    R_k R_k' = N_k - M_k M_k' at the returned point.
+    At N_k = M_k M_k' + P_k P_k', at an exact lift (blocks 0, where
+    eigh's rounding may go below zero and is clipped) and at a convex
+    combination of the two, as a line search visits: R_k R_k' =
+    N_k - M_k M_k' to rounding, with finite roots.
     """
     rng = np.random.default_rng(3)
-    d, a, gamma = 4, 3, 1.0
-    for outside in (False, True):
-        Ma = rng.standard_normal((d, a)) * 0.3
-        P = rng.standard_normal((a, d, d)) * 0.2
-        Ns = np.einsum("rk,sk->krs", Ma, Ma) + P @ P.transpose(0, 2, 1)
-        if outside:
-            E = rng.standard_normal((a, d, d))
-            Ns = Ns + 0.5 * (E + E.transpose(0, 2, 1))
-        rows = _Rows(d, a)
-        Mo, No, roots = _schur_separate(rows, Ma, Ns, gamma, 1e-7)
-        assert (rows.const.size > 0) == outside
-        if not outside:
-            assert Mo is Ma and No is Ns
+    d, a = 4, 3
+    Ma = rng.standard_normal((d, a)) * 0.3
+    P = rng.standard_normal((a, d, d)) * 0.2
+    lift_ = np.einsum("rk,sk->krs", Ma, Ma)
+    M2 = rng.standard_normal((d, a)) * 0.3
+    points = [(Ma, lift_ + P @ P.transpose(0, 2, 1)), (M2, np.einsum("rk,sk->krs", M2, M2))]
+    Mc = 0.3 * points[0][0] + 0.7 * points[1][0]
+    points.append((Mc, 0.3 * points[0][1] + 0.7 * points[1][1]))
+    for Mo, No in points:
+        roots = _schur_roots(Mo, No)
+        assert np.isfinite(roots).all()
         W = No - np.einsum("rk,sk->krs", Mo, Mo)
         np.testing.assert_allclose(roots @ roots.transpose(0, 2, 1), W, rtol=0, atol=1e-12)
 
 
+def _points_of_c(rng, d, a, gamma, s, V):
+    """Points (Ma, Ns) of C inside both balls: random ones, N_k = M_k M_k'
+    + P_k P_k' scaled as (t M, t^2 N), and rank-one ones aligned with V,
+    M_k = mu_k sign(s_k) V^_k and N_k = nu_k V^_k V^_k' with nu_k >= mu_k^2."""
+    nv = np.linalg.norm(V, axis=0)
+    Vh = V / np.where(nv > 0.0, nv, 1.0)
+    for i in range(60):
+        if i % 2:
+            M = rng.standard_normal((d, a))
+            P = rng.standard_normal((a, d, d)) * rng.random()
+            N = np.einsum("rk,sk->krs", M, M) + P @ P.transpose(0, 2, 1)
+        else:
+            mu = rng.random(a)
+            nu = mu * mu + rng.random(a) * rng.random()
+            M = Vh * (mu * np.sign(s))
+            N = nu[:, None, None] * np.einsum("rk,sk->krs", Vh, Vh)
+        scale = max(np.linalg.norm(M) / gamma, np.sqrt(np.linalg.norm(N)) / gamma, 1e-300)
+        t = rng.uniform(0.5, 1.0) / scale
+        yield M * t, N * t * t
+
+
+def _lmo_cases(rng):
+    """quad_factors-like pairs (s, V) for d <= 4, one with an all-zero V
+    column and one with s_k = 0 on a live feature."""
+    for d in (1, 2, 3, 4):
+        a = max(1, d - 1)
+        s, V = rng.standard_normal(a), rng.standard_normal((d, a)) * rng.uniform(0.1, 10.0)
+        yield s, V
+    s, V = rng.standard_normal(3), rng.standard_normal((4, 3))
+    V[:, 1] = 0.0
+    s[2] = 0.0
+    yield s, V
+
+
+@pytest.mark.parametrize("gamma", [2.0**-7, 2.0**-2, 1.0, 4.0])
+def test_lmo_bound_covers_points_of_c(gamma):
+    """The linear step's G is at or above Q_alpha on sampled points of C
+    in both balls, and its vertex is such a point with Q within 1e-9 of G.
+
+    Q_alpha(M, N) = 2 sum_k s_k (M_k . V_k) + sum_k V_k' N_k V_k, sampled at
+    random points and at rank-one points aligned with V; a cold and a
+    warm start give the same bound.
+    """
+    rng = np.random.default_rng(int(np.log2(gamma)) + 20)
+    for s, V in _lmo_cases(rng):
+        d, a = V.shape
+        G, Sm, Sn, pq = _lmo(s, V, gamma, None)
+        assert np.isfinite(G) and G >= 0.0
+        assert np.linalg.norm(Sm) <= gamma * (1.0 + 1e-12)
+        assert np.linalg.norm(Sn) <= gamma * gamma * (1.0 + 1e-12)
+        W = Sn - np.einsum("rk,sk->krs", Sm, Sm)
+        assert np.linalg.eigvalsh(W)[:, 0].min() >= -1e-12 * gamma * gamma
+        top = quad_value(s, V, Sm, Sn)
+        assert G * (1.0 - 1e-9) <= top <= G * (1.0 + 1e-12)
+        for M, N in _points_of_c(rng, d, a, gamma, s, V):
+            assert quad_value(s, V, M, N) <= G * (1.0 + 1e-12)
+        if pq is not None:  # None: closed form, with no multipliers
+            G2 = _lmo(s, V, gamma, (pq[0] * 3.0, pq[1] / 2.0))[0]
+            assert G2 == pytest.approx(G, rel=1e-9)
+
+
+@pytest.mark.parametrize("gamma", [2.0**-7, 4.0])
+def test_lmo_finite_without_runtime_warnings(gamma):
+    """No overflow, division by zero or invalid value in the linear step
+    at the budget extremes, with an all-zero V column, or with V = 0."""
+    rng = np.random.default_rng(5)
+    cases = list(_lmo_cases(rng)) + [(rng.standard_normal(2), np.zeros((3, 2)))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, V in cases:
+            out = _lmo(s, V, gamma, None)
+            assert np.isfinite(out[0])
+            assert np.isfinite(out[1]).all() and np.isfinite(out[2]).all()
+        ds = random_corrupted(rng, 40, 4)
+        sol = solve_irr(ds, Hyperparams(2.0**-6, gamma))
+    assert np.isfinite(sol.alpha).all() and sol.diagnostics.converged
+
+
+def test_certified_bound_below_exact_objectives():
+    """objective - gap is at most the exact objective of sampled in-ball
+    maps and the relaxed objective of sampled points of C (criterion-1
+    style), and converged means gap <= tol |objective|."""
+    rng = np.random.default_rng(17)
+    cfg = SolverConfig()
+    for _ in range(12):
+        m, d = int(rng.integers(6, 14)), int(rng.integers(2, 5))
+        ds = random_corrupted(rng, m, d, beta=float(rng.uniform(0.3, 0.9)))
+        lam = float(2.0 ** rng.uniform(-6, 1))
+        gam = float(2.0 ** rng.uniform(-3, 1))
+        diag = solve_irr(ds, Hyperparams(lam, gam), cfg).diagnostics
+        assert diag.converged == (diag.gap <= cfg.tol * abs(diag.objective))
+        bound = diag.objective - diag.gap
+        eye = m * lam * np.eye(m)
+        for _ in range(30):
+            G0 = rng.standard_normal((d, d))
+            M = G0 * (gam * rng.random() ** (1.0 / (d * d)) / np.linalg.norm(G0))
+            exact = float(ds.y @ np.linalg.solve(build_km(ds, M) + eye, ds.y))
+            P = rng.standard_normal((d, d, d)) * rng.random()
+            N = np.einsum("rk,sk->krs", M, M) + P @ P.transpose(0, 2, 1)
+            t = min(1.0, gam * gam / np.sqrt((N * N).sum()))
+            K = build_kmn(ds, np.sqrt(t) * M, LiftedTensor(t * N, gam * gam + 1e-9))
+            relaxed = float(ds.y @ np.linalg.solve(K + eye, ds.y))
+            assert bound <= min(exact, relaxed) + 1e-9 * abs(bound)
+
+
+def test_slope_and_curvature_match_differences():
+    """Along a segment of C, f's slope -Q_alpha(D) and _Objective.curvature
+    match central differences of f and of the slope (the line search's
+    first step is -slope / curvature)."""
+    rng = np.random.default_rng(9)
+    ds, lam, gamma = random_corrupted(rng, 40, 4), 2.0**-5, 0.8
+    Zb = 1.0 - ds.Z
+    active = np.flatnonzero(Zb.any(axis=0))
+    a, d, h = active.size, ds.d, 1e-5
+    obj = _Objective(ds.X, Zb[:, active], ds.y, active, ds.m * lam)
+    points = [next(_points_of_c(rng, d, a, gamma, rng.standard_normal(a), rng.standard_normal((d, a))))
+              for _ in range(2)]
+    (M0, N0), (M1, N1) = points
+    Dm, Dn = M1 - M0, N1 - N0
+
+    def at(eta):
+        alpha, fac = obj.ridge(M0 + eta * Dm, N0 + eta * Dn)
+        _, s, V = quad_factors(ds.X, Zb[:, active], alpha)
+        return float(ds.y @ alpha), -quad_value(s[active], V, Dm, Dn), fac, s[active], V
+
+    for eta in (0.2, 0.5):
+        f, g, fac, s, V = at(eta)
+        (fp, gp, *_), (fm, gm, *_) = at(eta + h), at(eta - h)
+        assert g == pytest.approx((fp - fm) / (2 * h), rel=1e-6)
+        assert obj.curvature(fac, s, V, Dm, Dn) == pytest.approx((gp - gm) / (2 * h), rel=1e-5)
+
+
 def test_solve_needs_no_qr(monkeypatch):
     """A solve factors nothing but its Schur blocks: with np.linalg.qr
-    raising, the wide-basis case still solves to a PSD kernel with Schur
-    cuts taken."""
+    raising, the wide-basis case still solves, off the exact lift."""
 
     def no_qr(*args, **kwargs):
         raise AssertionError("solve_irr called np.linalg.qr")
@@ -392,110 +513,10 @@ def test_solve_needs_no_qr(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", no_qr)
     ds, hp = _wide_basis_case()
     sol = solve_irr(ds, hp)
-    assert sol.diagnostics.cuts >= 1
+    assert np.abs(schur_blocks(sol)).max() > 0.0
     K = build_kmn(ds, sol.M, sol.N)
     resid = (K + ds.m * hp.lam * np.eye(ds.m)) @ sol.alpha - ds.y
     assert np.linalg.norm(resid) <= 1e-8 * max(1.0, np.linalg.norm(ds.y))
-
-
-def _recorded_rows(monkeypatch, ds, hp):
-    """(const, s, V, cut) of every row a solve adds to its model, in order."""
-    added = []
-    add = _Rows.add
-
-    def record(self, const, s, V, cut):
-        added.append((const, s, V, cut))
-        add(self, const, s, V, cut)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(_Rows, "add", record)
-        solve_irr(ds, hp)
-    return added
-
-
-class _BothMasters:
-    """The plane-coordinate master and the flat reference on the same rows."""
-
-    def __init__(self, d, a, gamma):
-        self.rows = _Rows(d, a)
-        self.dM = d * a
-        self.gamma = gamma
-        self.planes, self.cuts = [], []
-        self.x = np.zeros(self.dM + a * d * d)
-
-    def add(self, const, s, V, cut):
-        self.rows.add(const, s, V, cut)
-        (self.cuts if cut else self.planes).append((const, flat_row(s, V)))
-
-    def run(self):
-        """Both masters from the current iterate; returns new and reference.
-
-        The new side is (M[:, active], N[active], value) as solve_irr
-        rebuilds it, the reference its flat x split the same way.
-        """
-        rows, dM, gamma = self.rows, self.dM, self.gamma
-        rows.cM, rows.cN, val = _master(rows, gamma)
-        Ma, Ns = rows.iterate(gamma)
-        A0 = np.array([c for c, _ in self.planes])
-        CA = np.array([r for _, r in self.planes])
-        C0 = np.array([c for c, _ in self.cuts])
-        CC = np.array([r for _, r in self.cuts]).reshape(len(self.cuts), self.x.size)
-        self.x, ref_val = flat_master(self.x, A0, CA, C0, CC, gamma, 500, 1e-7, dM)
-        return (Ma.ravel(), Ns.ravel(), val), (self.x[:dM], self.x[dM:], ref_val)
-
-    def cut_values(self, xM, xN):
-        return np.array([c + r @ np.concatenate([xM, xN]) for c, r in self.cuts])
-
-
-def _assert_same_master(new, ref, gamma):
-    Ma, Ns, val = new
-    for got, want in zip(new, ref):
-        scale = max(np.linalg.norm(want), 1e-300)
-        assert np.linalg.norm(np.subtract(got, want)) <= 1e-10 * scale
-    assert np.isfinite(val)
-    assert np.linalg.norm(Ma) <= gamma  # inside both balls, no slack
-    assert np.linalg.norm(Ns) <= gamma * gamma
-
-
-@pytest.mark.parametrize(
-    "case, m, d, lam, gamma",
-    [
-        ("planes", 40, 5, 2.0**-5, 1.0),
-        ("planes+cuts", 40, 5, 2.0**-5, 1.0),
-        ("small budget", 60, 4, 2.0**-4, 2.0**-7),
-    ],
-)
-def test_master_matches_flat_reference(monkeypatch, case, m, d, lam, gamma):
-    """The master in plane coordinates against the flat-variable loop.
-
-    Seeded inputs: the rows a solve adds, planes only or planes and
-    cuts.  At gamma = 2^-7 the N ball shrinks the iterate by about
-    gamma on every one of the 500 steps, far below the smallest double,
-    so the plane-coordinate loop must fold its lazy scale back in time.
-    Both masters run from zero on the first half of the rows and again,
-    warm, after the rest are added.
-    """
-    ds = random_corrupted(np.random.default_rng(1), m, d)
-    added = _recorded_rows(monkeypatch, ds, Hyperparams(lam, gamma))
-    if case == "planes":
-        added = [row for row in added if not row[3]]
-    a = added[0][1].size
-    both = _BothMasters(d, a, gamma)
-    half = max(1, len(added) // 2)
-    for i, row in enumerate(added):
-        both.add(*row)
-        if i + 1 in (half, len(added)) and both.planes:
-            new, ref = both.run()
-            _assert_same_master(new, ref, gamma)
-    assert (len(both.cuts) > 0) == (case != "planes")
-    if case == "planes+cuts":
-        # the cuts bind: without them the master ends outside one
-        free = _BothMasters(d, a, gamma)
-        for row in added:
-            if not row[3]:
-                free.add(*row)
-        (xM, xN, _), _ = free.run()
-        assert both.cut_values(xM, xN).min() < -1e-7
 
 
 def test_capped_run_reports_not_converged():
@@ -518,8 +539,8 @@ def test_capped_run_reports_not_converged():
 def test_solve_allocates_no_m_by_m_matrix():
     """A solve at m=3000 peaks below a quarter of one m x m float64 matrix.
 
-    Correlated features make the solve take Schur cuts, so the
-    separation and the move back into C run as well as the ridge solves.
+    Correlated features move the solve off the exact lift, so its Schur
+    roots and factor are nonzero.
     """
     rng = np.random.default_rng(11)
     m, d = 3000, 4
@@ -536,7 +557,7 @@ def test_solve_allocates_no_m_by_m_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sol.diagnostics.cuts >= 1
+    assert np.abs(schur_blocks(sol)).max() > 0.0
     assert peak < m * m * 8 / 4
 
 
