@@ -14,6 +14,7 @@ from imputed_ridge.kernel import (
     _basis,
     _block_rows,
     quad_factors,
+    quad_value,
     relaxed_apply,
     schur_factor,
     schur_l,
@@ -185,6 +186,8 @@ def test_quad_factors_reproduce_quadratic(rng):
             val += V[:, k] @ N.slices[k] @ V[:, k]
         direct = a @ build_kmn(ds, M, N) @ a
         assert val == pytest.approx(direct, abs=1e-9 * max(1.0, abs(direct)))
+        quad = const + quad_value(s, V, M, N.slices)
+        assert quad == pytest.approx(direct, abs=1e-9 * max(1.0, abs(direct)))
 
 
 def test_gradient_matches_finite_differences(rng):
