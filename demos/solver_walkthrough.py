@@ -7,10 +7,11 @@ Frank-Wolfe solver, and then audits the answer three ways:
   * the certified lower bound (objective - gap) sits at or below the
     exact objective of every random in-budget imputation map (the
     relaxation never overclaims),
-  * the returned kernel is positive semidefinite within tolerance,
+  * the returned kernel is positive semidefinite: every block
+    N_k - M_k M_k' is, up to rounding,
   * test RMSE improves on the zero- and mean-fill baselines.
 
-Takes a few seconds.
+Takes about a second.
 """
 
 import numpy as np
@@ -21,7 +22,6 @@ from imputed_ridge import (
     Dataset,
     Hyperparams,
     SolverConfig,
-    build_km,
     fit_mean,
     impute_dataset,
     ridge_weights,
@@ -64,22 +64,22 @@ def main():
     )
     print(f"map norm {np.linalg.norm(sol.M):.3f} (budget {hp.gamma})")
 
-    # audit 1: exact objective of random feasible maps
-    eye = train.m * hp.lam * np.eye(train.m)
+    # audit 1: exact objective y'(U U' + m lam I)^{-1} y of random feasible
+    # maps, U the rows imputed through the map, by the d x d primal solve
+    yy, mlam = float(train.y @ train.y), train.m * hp.lam
     slack = np.inf
     for _ in range(300):
         G = rng.standard_normal((d, d))
         r = hp.gamma * rng.random() ** (1.0 / (d * d))
-        Mr = G * (r / np.linalg.norm(G))
-        val = float(train.y @ np.linalg.solve(build_km(train, Mr) + eye, train.y))
+        U = impute_dataset(G * (r / np.linalg.norm(G)), train.X, train.Z)
+        val = (yy - float(train.y @ U @ ridge_weights(U, train.y, hp.lam))) / mlam
         slack = min(slack, val - (diag.objective - diag.gap))
     print(f"audit 1: min slack over 300 random maps {slack:.2e} (>= 0 expected)")
 
-    # audit 2: the relaxed kernel the solver returned, PSD on the Schur set
-    from imputed_ridge import build_kmn
-
-    lam_min = np.linalg.eigvalsh(build_kmn(train, sol.M, sol.N))[0]
-    print(f"audit 2: smallest kernel eigenvalue {lam_min:.2e}")
+    # audit 2: the relaxed kernel exceeds the exact one by
+    # sum_k D_k X (N_k - M_k M_k') X' D_k, so PSD blocks certify it PSD
+    low = np.linalg.eigvalsh(sol.N.slices - np.einsum("rk,sk->krs", sol.M, sol.M)).min()
+    print(f"audit 2: smallest eigenvalue of N_k - M_k M_k' {low:.2e}")
 
     # audit 3: held-out error against the cheap repairs, every method
     # tuned over the same small lambda grid (irr also tunes gamma)

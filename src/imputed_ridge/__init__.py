@@ -26,12 +26,7 @@ from .imputation import (
     fit_mean,
     impute_dataset,
 )
-from .kernel import (
-    LiftedTensor,
-    build_km,
-    build_kmn,
-    lift,
-)
+from .kernel import LiftedTensor
 from .solver import (
     Diagnostics,
     Hyperparams,

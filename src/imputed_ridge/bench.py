@@ -434,8 +434,10 @@ def run_onevsall(spec: ExperimentSpec, digit: int) -> ExperimentReport:
 
     Labels become +1 for the chosen digit and -1 otherwise (bypassing
     label normalization); features are normalized as usual; corruption
-    is the strided column-block process over the central image columns
-    unless the spec already carries a column spec.
+    is the spec's column-block process (``irr digits`` passes the
+    strided blocks over the central image columns).  Raises ValueError
+    for a digit outside 0..9, a digit absent from or filling every row,
+    and a spec without column corruption.
     """
     if not 0 <= int(digit) <= 9:
         raise ValueError(f"digit must be 0..9, got {digit}")
@@ -447,28 +449,14 @@ def run_onevsall(spec: ExperimentSpec, digit: int) -> ExperimentReport:
         raise ValueError(f"digit {digit} absent from the data; labels would be all -1")
     if hit.all():
         raise ValueError(f"every row is digit {digit}; labels would be all +1")
+    cspec = spec.corruption
+    if not (isinstance(cspec, CorruptionSpec) and cspec.kind is CorruptionKind.COLUMN_BLOCK):
+        kind = cspec.kind.value if isinstance(cspec, CorruptionSpec) else cspec
+        raise ValueError(f"one-vs-all needs column corruption, got {kind}")
 
     ds = normalize(raw)
     ds = replace(ds, y=np.where(hit, 1.0, -1.0))
-
-    if (
-        isinstance(spec.corruption, CorruptionSpec)
-        and spec.corruption.kind is CorruptionKind.COLUMN_BLOCK
-    ):
-        cspec = spec.corruption
-    else:
-        seed = (
-            spec.corruption.seed
-            if isinstance(spec.corruption, CorruptionSpec)
-            else spec.master_seed
-        )
-        cspec = CorruptionSpec(
-            CorruptionKind.COLUMN_BLOCK,
-            block_size=8,
-            eligible_blocks=(2, 3, 4),
-            seed=seed,
-        )
-    spec = replace(spec, corruption=cspec, target_fraction=None)
+    spec = replace(spec, target_fraction=None)
     return _run_on_dataset(spec, ds)
 
 

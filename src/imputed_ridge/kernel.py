@@ -1,4 +1,4 @@
-"""Gram matrices for linearly imputed data, exact and relaxed.
+"""The relaxed Gram matrix of linearly imputed data, in factored forms.
 
 The exact matrix is the Gram of the imputed rows and is quadratic in
 the imputation map M, which ruins convexity of the training objective.
@@ -18,27 +18,32 @@ sum_k D_k X (N_k - M[:, k] M[:, k]') X' D_k with D_k = diag(Zb[:, k]),
 it is PSD wherever every N_k - M[:, k] M[:, k]' is, whatever the data;
 the solver keeps its iterates in that set.
 
-This module is the only place that knows the formula, in three forms.
-Whatever (M, N) is, the matrix factors through X's columns and their
-masked copies, B = [X, Zb_k * X for the a features k with a masked
-entry]: K = B S(M, N) B' with a c x c matrix S, c = d(1 + a), whose
-blocks are I on the X block, M[:, k] e_k' between the X block and
-block k, and N_k on block k.  build_kmn computes the m x m matrix
-B S B' at any (M, N).
-On the Schur set, where every W_k = N_k - M[:, k] M[:, k]' is PSD,
-S = L L' (schur_factor): L is the identity on the X block with M[:, k]
-routed into column k from block k, then in block k's rows a column per
-eigenpair of W_k above 1e-12 of the largest eigenvalue of all, its
-eigenvector times the root of its eigenvalue.  So K = (B L)(B L)' there,
-B L starts with the M-imputed rows, and as each block holds at most
-n <= d such columns, schur_lt and schur_l multiply by L' and L in
-O(c (1 + n)) per column.
-relaxed_apply is the kernel-vector form: K(X0 rows, X rows) alpha for
-any rows X0, which gives dual predictions and kernel-vector products
-without forming either matrix, in row blocks of a fixed byte size, so
-no n x d temporary either.  Since a' K a is affine in (M, N) for a fixed
-vector a, its coefficients (quad_factors) are also its gradient, and
-quad_value evaluates that affine map at any (M, N).
+This module is the only place that knows the formula, and it never
+forms an m x m matrix.  Whatever (M, N) is, the matrix factors through
+X's columns and their masked copies, B = [X, Zb_k * X for the a
+features k with a masked entry]: K = B S(M, N) B' with a c x c matrix
+S, c = d(1 + a), whose blocks are I on the X block, M[:, k] e_k' between
+the X block and block k, and N_k on block k.  A solve and a prediction
+use that in three factored forms:
+
+  * schur_factor: on the Schur set, where every W_k = N_k - M[:, k]
+    M[:, k]' is PSD, S = L L' with L the identity on the X block and
+    M[:, k] routed into column k from block k, then in block k's rows a
+    column per eigenpair of W_k above 1e-12 of the largest eigenvalue
+    of all, its eigenvector times the root of its eigenvalue.  So
+    K = (B L)(B L)' there, B L starts with the M-imputed rows, and as
+    each block holds at most n <= d such columns, schur_lt and schur_l
+    multiply by L' and L in O(c (1 + n)) per column.
+  * quad_factors and quad_value: a' K a is affine in (M, N) for a fixed
+    vector a; quad_factors gives its coefficients from B'a = [s, V[:, k]
+    per block], which are also its gradient, and quad_value evaluates
+    the map at any (M, N).
+  * relaxed_apply: K(X0 rows, X rows) alpha for any rows X0, which gives
+    dual predictions without forming either matrix, in row blocks of a
+    fixed byte size, so no n x d temporary either.
+
+s_apply is the one copy of S(M, N) B'a on the masked blocks: the
+solver's curvature and relaxed_apply both call it.
 
 Budgets are Frobenius balls: ||M||_F <= gamma and
 sqrt(sum_k ||N_k||_F^2) <= gamma^2.
@@ -49,9 +54,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .dataset import Dataset
-from .imputation import impute_dataset
 
 FEASIBILITY_SLACK = 1e-9
 # Bytes of one relaxed_apply row block (256 KiB), small enough for L2.
@@ -87,59 +89,6 @@ class LiftedTensor:
     def norm(self) -> float:
         return float(np.sqrt((self.slices * self.slices).sum()))
 
-    @classmethod
-    def zeros(cls, d: int, gamma2: float = 0.0) -> "LiftedTensor":
-        return cls(np.zeros((d, d, d)), gamma2)
-
-
-def lift(M) -> LiftedTensor:
-    """Exact lift of an imputation map: slice k is outer(M[:, k], M[:, k]).
-
-    The joint norm of the result is sqrt(sum_k ||M_k||^4) <= ||M||_F^2,
-    so the budget gamma2 = ||M||_F^2 is always feasible.
-    """
-    M = np.asarray(M, dtype=float)
-    slices = np.einsum("rk,sk->krs", M, M)
-    gamma2 = float(np.linalg.norm(M)) ** 2
-    return LiftedTensor(slices, gamma2)
-
-
-def build_km(train: Dataset, M) -> np.ndarray:
-    """Exact imputed Gram matrix: the m x m Gram of rows filled through M."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (train.d, train.d):
-        raise ValueError(f"M must be {train.d} x {train.d}")
-    Ximp = impute_dataset(M, train.X, train.Z)
-    G = Ximp @ Ximp.T
-    return 0.5 * (G + G.T)
-
-
-def build_kmn(train: Dataset, M, N: LiftedTensor) -> np.ndarray:
-    """Relaxed m x m Gram matrix B S(M, N) B', affine in (M, N).
-
-    With B's blocks X and X_k = Zb[:, k] * X, k over the features some
-    row masks (the others add nothing),
-
-        B S B' = X X' + sum_k [(X_k M[:, k]) X[:, k]' + transpose]
-                      + sum_k X_k N_k X_k'
-
-    in O(m a d^2 + m^2 a d), symmetrized.
-    """
-    M = np.asarray(M, dtype=float)
-    (m, d), X = train.X.shape, train.X
-    if M.shape != (d, d):
-        raise ValueError(f"M must be {d} x {d}")
-    if N.slices.shape != (d, d, d):
-        raise ValueError(f"N must carry {d} slices of shape ({d}, {d})")
-    Zb = 1.0 - train.Z
-    active = np.flatnonzero(Zb.any(axis=0))
-    Xk = Zb[:, active, None] * X[:, None, :]  # Xk[:, j, :] is X_k, k = active[j]
-    P = np.einsum("iks,sk->ik", Xk, M[:, active]) @ X[:, active].T
-    A = np.einsum("iks,kst->ikt", Xk, N.slices[active], optimize=True)
-    cols = active.size * d
-    T = X @ X.T + P + P.T + A.reshape(m, cols) @ Xk.reshape(m, cols).T
-    return 0.5 * (T + T.T)
-
 
 def quad_factors(X, Zb, a):
     """Factor the affine map (M, N) -> a' K a for a fixed vector a.
@@ -162,6 +111,14 @@ def quad_value(s, V, Ma, Ns):
     return 2.0 * float(s @ np.einsum("rk,rk->k", Ma, V)) + float(
         np.einsum("krs,rk,sk->", Ns, V, V)
     )
+
+
+def s_apply(s, V, Ma, Ns):
+    """(u, P) with u_k = M_k . V[:, k] and P[:, k] = s_k M_k + N_k V[:, k],
+    M_k the columns of ``Ma`` and N_k the slices of ``Ns``: for
+    quad_factors' (s, V) of a vector a, S(M, N) B'a is s + sum_k u_k e_k
+    on the X block and P[:, k] on block k.  O(a d^2)."""
+    return np.einsum("rk,rk->k", Ma, V), Ma * s + np.einsum("krs,sk->rk", Ns, V)
 
 
 def _basis(X, Zb, active):
@@ -221,23 +178,21 @@ def relaxed_apply(X, Zb, M, slices, alpha, X0, Z0) -> np.ndarray:
     over the X rows against alpha gives, for a row x0 with missingness
     indicator zb0,
 
-        x0 . u0 + sum_k zb0_k (x0 . P[:, k]),
-        u0 = s + colsum(M * V),   P[:, k] = M[:, k] s_k + N_k V[:, k]
+        x0 . (s + u) + sum_k zb0_k (x0 . P[:, k])
 
-    with (s, V) from quad_factors.  N_k enters through its symmetric
-    part, so for any stack this is the cross block of build_kmn's
-    symmetrized matrix on the rows [X; X0].  Features no X row masks have
-    V[:, k] = 0 but keep the M term where x0 masks them.  The masked
-    sum is the full row sum minus its observed part.  X0 and Z0 are
-    read in blocks of _block_rows(d) rows, and each block's X0 P is
-    summed against its mask while in cache, so beyond the (n,) output
-    the only temporaries are one block's.  O(m d^2 + d^3) once plus
-    O(d^2) per row.
+    with (s, V) from quad_factors and (u, P) = s_apply(s, V, M, N).  N_k
+    enters through its symmetric part, so for any stack this is the
+    cross block of the symmetrized formula on the rows [X; X0].
+    Features no X row masks have V[:, k] = 0 but keep the M term where
+    x0 masks them.  The masked sum is the full row sum minus its
+    observed part.  X0 and Z0 are read in blocks of _block_rows(d) rows,
+    and each block's X0 P is summed against its mask while in cache, so
+    beyond the (n,) output the only temporaries are one block's.
+    O(m d^2 + d^3) once plus O(d^2) per row.
     """
     _, s, V = quad_factors(X, Zb, alpha)
-    u0 = s + (M * V).sum(axis=0)
-    P = M * s + 0.5 * np.einsum("krs,sk->rk", slices + slices.transpose(0, 2, 1), V)
-    w = u0 + P.sum(axis=1)
+    u, P = s_apply(s, V, M, 0.5 * (slices + slices.transpose(0, 2, 1)))
+    w = s + u + P.sum(axis=1)
     n, d = X0.shape
     rows = _block_rows(d)
     out = np.empty(n)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .kernel import LiftedTensor, _basis, quad_factors, quad_value, relaxed_apply
-from .kernel import schur_factor, schur_l, schur_lt
+from .kernel import s_apply, schur_factor, schur_l, schur_lt
 
 # Limits of _line_search (trials, slope share) and _lmo (evaluations,
 # relative gap, share of the solve's tol |objective|).
@@ -77,7 +77,8 @@ class SolverConfig:
     stops and the most outer iterations it may take.
 
     eps_psd, not settable and not read by the solver, is the tolerance
-    to which a returned relaxed kernel is PSD, as callers check it.
+    to which a returned relaxed kernel is PSD, as callers check it; the
+    benchmark's fit check (perfbench check_fit) sets its PSD floor from it.
     """
 
     tol: float = 1e-3
@@ -118,7 +119,8 @@ class SolverConfig:
 class Diagnostics:
     """How a solve ended: objective - gap is a certified lower bound on
     the relaxed optimum, converged means gap <= tol |objective| stopped
-    it.  cuts is always 0, kept for readers of earlier results."""
+    it.  cuts is always 0; the benchmark's traced solver.cuts and
+    solver.feasible_share metrics still read it."""
 
     iterations: int
     gap: float
@@ -132,7 +134,8 @@ class IrrSolution:
     """Trained model: dual weights, imputation map, lifted slices.
 
     ``train`` is kept because the dual predictor evaluates against the
-    training rows.
+    training rows; the benchmark's prediction check (perfbench
+    check_predict) reads them from it too.
     """
 
     alpha: np.ndarray
@@ -190,15 +193,13 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
 
     obj = _Objective(X, Zb[:, active], y, active, mlam)
     Ma, Ns = np.zeros((d, a)), np.zeros((a, d, d))
-    alpha, fac = obj.ridge(Ma, Ns, roots=Ns)  # 0 is the blocks' root at 0
-    upper, lower = float(y @ alpha), -np.inf
-    pq = None
+    upper, alpha, fac, (c0, s, V) = obj.ridge(Ma, Ns)
+    lower, pq = -np.inf, None
     converged = False
 
     for it in range(1, cfg.max_outer + 1):
-        # (Ma, Ns) is the incumbent; alpha solves its ridge system (fac)
-        c0, s, V = quad_factors(X, obj.Zba, alpha)
-        s = s[active]
+        # (Ma, Ns) is the incumbent, upper = f there; alpha solves its
+        # ridge system (fac), and (c0, s, V) are its quad_factors
         a0 = 2.0 * upper - mlam * float(alpha @ alpha) - c0
         slack = LMO_SHARE * cfg.tol * abs(upper)
         bound, Sm, Sn, pq = _lmo(s, V, hp.gamma, pq, slack)
@@ -215,7 +216,7 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
         trial = _line_search(obj, Ma, Ns, Dm, Dn, g0, eta)
         if not trial[0] < upper:
             break  # no trial improved on the incumbent: descent is below rounding
-        upper, Ma, Ns, alpha, fac = trial
+        upper, Ma, Ns, alpha, fac, (c0, s, V) = trial
 
     M, N = np.zeros((d, d)), np.zeros((d, d, d))
     M[:, active], N[active] = Ma, Ns
@@ -232,24 +233,26 @@ class _Objective:
         self.G, self.By = self.B.T @ self.B, self.B.T @ y
         self.X, self.Zba, self.y, self.active, self.mlam = X, Zba, y, active, mlam
 
-    def ridge(self, Ma, Ns, roots=None):
-        """(alpha, (F, A)) at the point (Ma, Ns) of C: F its Schur factor,
-        from ``roots`` of its blocks or _schur_roots, A = L'GL + m*lam*I."""
-        roots = _schur_roots(Ma, Ns) if roots is None else roots
-        F = schur_factor(Ma, roots, self.active)
+    def ridge(self, Ma, Ns):
+        """(f, alpha, (F, A), (c0, s, V)) at the point (Ma, Ns) of C: F its
+        Schur factor, A = L'GL + m*lam*I, and quad_factors of alpha with
+        s on the active features."""
+        F = schur_factor(Ma, _schur_roots(Ma, Ns), self.active)
         alpha, A = _schur_ridge(self.B, self.G, self.By, self.y, F, self.active, self.mlam)
-        return alpha, (F, A)
+        c0, s, V = quad_factors(self.X, self.Zba, alpha)
+        return float(self.y @ alpha), alpha, (F, A), (c0, s[self.active], V)
 
     def curvature(self, fac, s, V, Dm, Dn):
         """f's second derivative along (Dm, Dn) at the point with ridge
         factors fac and quad_factors pair (s, V): 2 u'(K + m*lam*I)^{-1} u
-        for u = K_D alpha = B theta, K_D the part of K linear in (Dm, Dn),
+        for u = K_D alpha = B theta, K_D the part of K linear in (Dm, Dn)
+        and theta = S(Dm, Dn) B'alpha less its identity part (s_apply),
         which by Woodbury is 2 (theta'G theta - w'A^{-1} w) / (m*lam),
         w = L'G theta."""
         d = Dm.shape[0]
         theta = np.zeros(self.B.shape[1])
-        theta[self.active] = np.einsum("rk,rk->k", Dm, V)
-        theta[d:] = (Dm * s + np.einsum("krs,sk->rk", Dn, V)).T.ravel()
+        theta[self.active], P = s_apply(s, V, Dm, Dn)
+        theta[d:] = P.T.ravel()
         F, A = fac
         Gt = self.G @ theta
         w = schur_lt(F, self.active, Gt[:, None])[:, 0]
@@ -276,19 +279,19 @@ def _line_search(obj, Ma, Ns, Dm, Dn, g0, eta):
     or after LINE_TRIALS trials: until phi' changes sign it extrapolates
     the secant through 0, at least 4-fold, then takes Illinois steps on
     the bracket.
-    Returns (f, Ma, Ns, alpha, fac) of the trial with the lowest f.
+    Returns (f, Ma, Ns, alpha, fac, (c0, s, V)) of the trial with the
+    lowest f, as _Objective.ridge gives them.
     """
     lo, hi = [0.0, g0], None
     kept = 0  # +1 or -1 when the last trial replaced hi or lo
     best = None
     for _ in range(LINE_TRIALS):
         Mt, Nt = Ma + eta * Dm, Ns + eta * Dn
-        alpha, fac = obj.ridge(Mt, Nt)
-        f = float(obj.y @ alpha)
+        f, alpha, fac, quad = obj.ridge(Mt, Nt)
         if best is None or f < best[0]:
-            best = (f, Mt, Nt, alpha, fac)
-        _, s, V = quad_factors(obj.X, obj.Zba, alpha)
-        g = -quad_value(s[obj.active], V, Dm, Dn)
+            best = (f, Mt, Nt, alpha, fac, quad)
+        _, s, V = quad
+        g = -quad_value(s, V, Dm, Dn)
         if (g <= 0.0 and eta == 1.0) or abs(g) <= LINE_SLOPE * -g0:
             break
         # Illinois: halve the kept end's slope when the same end moves twice

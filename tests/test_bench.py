@@ -297,6 +297,11 @@ def test_onevsall_validation(digits_csv, tmp_path):
     with pytest.raises(ValueError, match="every row"):
         run_onevsall(base_spec(str(mono), methods=("zero",)), 4)
 
+    # a valid digit under any corruption but column blocks is an error,
+    # not a silent switch to the digit blocks
+    with pytest.raises(ValueError, match="needs column corruption, got independent"):
+        run_onevsall(spec, 3)
+
 
 def test_onevsall_runs_with_custom_blocks(digits_csv):
     cspec = CorruptionSpec(

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from imputed_ridge import (
-    Dataset,
-    LiftedTensor,
-    build_km,
-    build_kmn,
-    corrupt_independent,
-    impute_dataset,
-    lift,
-)
+from imputed_ridge import Dataset, LiftedTensor, corrupt_independent, impute_dataset
 from imputed_ridge.kernel import (
     _basis,
     _block_rows,
@@ -21,6 +13,7 @@ from imputed_ridge.kernel import (
     schur_lt,
 )
 from tests.conftest import flat_row, random_corrupted
+from tests.reference import build_km, build_kmn, lift
 
 
 def random_lifted(rng, d, scale=0.5):
@@ -75,7 +68,7 @@ def test_kernel_affine_in_m_and_n(rng):
     d = 3
     M = rng.standard_normal((d, d))
     N = random_lifted(rng, d)
-    Z0 = LiftedTensor.zeros(d)
+    Z0 = LiftedTensor(np.zeros((d, d, d)), 0.0)
     M0 = np.zeros((d, d))
     lhs = (
         build_kmn(ds, M, N)
@@ -167,7 +160,7 @@ def test_relaxed_apply_block_boundaries(rng):
 
 def test_kernel_zero_point_is_gram(rng):
     ds = random_corrupted(rng, 8, 3)
-    K = build_kmn(ds, np.zeros((3, 3)), LiftedTensor.zeros(3))
+    K = build_kmn(ds, np.zeros((3, 3)), LiftedTensor(np.zeros((3, 3, 3)), 0.0))
     np.testing.assert_allclose(K, ds.X @ ds.X.T, atol=1e-12)
 
 

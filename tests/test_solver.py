@@ -12,17 +12,17 @@ from imputed_ridge import (
     IrrSolution,
     LiftedTensor,
     SolverConfig,
-    build_km,
-    build_kmn,
     corrupt_independent,
     predict_batch,
     ridge_weights,
     rmse,
     solve_irr,
 )
-from imputed_ridge.kernel import _basis, quad_factors, quad_value, schur_factor
+from imputed_ridge import solver as solver_module
+from imputed_ridge.kernel import _basis, quad_value, schur_factor
 from imputed_ridge.solver import _lmo, _Objective, _schur_ridge, _schur_roots
 from tests.conftest import random_corrupted
+from tests.reference import build_km, build_kmn
 
 
 @pytest.fixture
@@ -492,15 +492,36 @@ def test_slope_and_curvature_match_differences():
     Dm, Dn = M1 - M0, N1 - N0
 
     def at(eta):
-        alpha, fac = obj.ridge(M0 + eta * Dm, N0 + eta * Dn)
-        _, s, V = quad_factors(ds.X, Zb[:, active], alpha)
-        return float(ds.y @ alpha), -quad_value(s[active], V, Dm, Dn), fac, s[active], V
+        f, _, fac, (_, s, V) = obj.ridge(M0 + eta * Dm, N0 + eta * Dn)
+        return f, -quad_value(s, V, Dm, Dn), fac, s, V
 
     for eta in (0.2, 0.5):
         f, g, fac, s, V = at(eta)
         (fp, gp, *_), (fm, gm, *_) = at(eta + h), at(eta - h)
         assert g == pytest.approx((fp - fm) / (2 * h), rel=1e-6)
         assert obj.curvature(fac, s, V, Dm, Dn) == pytest.approx((gp - gm) / (2 * h), rel=1e-5)
+
+
+def test_one_quad_factors_per_ridge_step(monkeypatch):
+    """A solve forms quad_factors once per ridge step, the incumbent's
+    included: the main loop reuses the pair its ridge step gave."""
+    calls = {"ridge": 0, "quad": 0}
+    ridge, quad = _Objective.ridge, solver_module.quad_factors
+
+    def counted_ridge(*args, **kwargs):
+        calls["ridge"] += 1
+        return ridge(*args, **kwargs)
+
+    def counted_quad(*args):
+        calls["quad"] += 1
+        return quad(*args)
+
+    monkeypatch.setattr(_Objective, "ridge", counted_ridge)
+    monkeypatch.setattr(solver_module, "quad_factors", counted_quad)
+    ds = random_corrupted(np.random.default_rng(9), 40, 4)
+    sol = solve_irr(ds, Hyperparams(lam=2.0**-5, gamma=0.8))
+    assert sol.diagnostics.iterations > 1
+    assert calls["quad"] == calls["ridge"] > sol.diagnostics.iterations
 
 
 def test_solve_needs_no_qr(monkeypatch):
@@ -610,7 +631,7 @@ def test_rmse_hand_value():
     sol = IrrSolution(
         alpha=np.array([2.0]),
         M=np.zeros((1, 1)),
-        N=LiftedTensor.zeros(1),
+        N=LiftedTensor(np.zeros((1, 1, 1)), 0.0),
         train=train,
         hp=Hyperparams(lam=1.0, gamma=0.0),
         diagnostics=Diagnostics(1, 0.0, 0, 0.0, True),
