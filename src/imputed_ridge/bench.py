@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -104,14 +104,7 @@ class MethodResult:
     notes: tuple = ()
 
     def to_obj(self):
-        return {
-            "rmse_mean": self.rmse_mean,
-            "rmse_std": self.rmse_std,
-            "best_lambda": self.best_lambda,
-            "best_gamma": self.best_gamma,
-            "per_trial": list(self.per_trial),
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import argparse
 import sys
 
 from .bench import (
+    METHODS,
     ExperimentSpec,
     run_experiment,
     run_onevsall,
@@ -32,21 +33,24 @@ def _float_list(text):
     return [float(p) for p in text.split(",") if p.strip()]
 
 
-def _add_common(p):
-    p.add_argument("--data", required=True, help="CSV file of features and a label column")
-    p.add_argument("--label-col", type=_label_col, default=-1,
-                   help="label column index or (with --has-header) name; default last")
-    p.add_argument("--has-header", action="store_true")
+def _add_corruption(p):
     p.add_argument("--corruption", default="independent",
                    choices=["independent", "dependent", "column", "native"])
     p.add_argument("--beta", type=float, default=None, help="deletion rate parameter")
     p.add_argument("--target-fraction", type=float, default=None,
                    help="calibrate beta to hit this observed fraction")
+
+
+def _add_common(p):
+    p.add_argument("--data", required=True, help="CSV file of features and a label column")
+    p.add_argument("--label-col", type=_label_col, default=-1,
+                   help="label column index or (with --has-header) name; default last")
+    p.add_argument("--has-header", action="store_true")
     p.add_argument("--block-size", type=int, default=8)
     p.add_argument("--eligible-blocks", type=_int_list, default=(2, 3, 4))
     p.add_argument("--train-size", type=int, default=1000)
     p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--methods", default="zero,mean,ind,irr,nocorr")
+    p.add_argument("--methods", default=",".join(METHODS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=_int_list, default=tuple(range(-12, 11)),
                    help="log2 exponents for the lambda (and gamma) grid")
@@ -126,17 +130,22 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bench = sub.add_parser("bench", help="one corruption setting, full method table")
+    _add_corruption(p_bench)
     _add_common(p_bench)
     p_bench.add_argument("--out", required=True, help="JSON report path")
     p_bench.add_argument("--tsv", default=None, help="also write a one-row TSV table")
 
     p_sweep = sub.add_parser("sweep", help="repeat bench across observed fractions")
+    _add_corruption(p_sweep)
     _add_common(p_sweep)
     p_sweep.add_argument("--fractions", type=_float_list, required=True)
     p_sweep.add_argument("--out", required=True, help="TSV plot-data path")
 
     p_dig = sub.add_parser("digits", help="one-vs-all digit task with column corruption")
     _add_common(p_dig)
+    # column corruption only: --corruption, --beta and --target-fraction
+    # are not options of digits, so argparse rejects them
+    p_dig.set_defaults(corruption="column", beta=None, target_fraction=None)
     p_dig.add_argument("--digit", type=int, required=True)
     p_dig.add_argument("--out", required=True, help="JSON report path")
     p_dig.add_argument("--tsv", default=None)
@@ -161,7 +170,6 @@ def main(argv=None) -> int:
             for frac, method, mean, std in rows:
                 print(f"fraction {frac:g}  {method:7s} rmse {mean:.4f}±{std:.4f}")
         else:
-            args.corruption = "column"
             spec = _spec_from_args(args)
             _write_report(run_onevsall(spec, args.digit), args)
     except (ValueError, OSError, RuntimeError) as exc:

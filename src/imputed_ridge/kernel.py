@@ -42,8 +42,11 @@ use that in three factored forms:
     dual predictions without forming either matrix, in row blocks of a
     fixed byte size, so no n x d temporary either.
 
-s_apply is the one copy of S(M, N) B'a on the masked blocks: the
-solver's curvature and relaxed_apply both call it.
+RelaxedRidge is the ridge objective y' (K + m*lam*I)^{-1} y of one
+training set on the Schur set, with its second derivative along a
+direction: the solver reaches B, B'B and L only through it.  s_apply is
+the one copy of S(M, N) B'a on the masked blocks: RelaxedRidge's
+curvature and relaxed_apply both call it.
 
 Budgets are Frobenius balls: ||M||_F <= gamma and
 sqrt(sum_k ||N_k||_F^2) <= gamma^2.
@@ -121,23 +124,24 @@ def s_apply(s, V, Ma, Ns):
     return np.einsum("rk,rk->k", Ma, V), Ma * s + np.einsum("krs,sk->rk", Ns, V)
 
 
-def _basis(X, Zb, active):
-    """B = [X, Zb[:, k] * X for k in active], the m x d(1 + a) factor of K."""
-    return np.concatenate([X] + [Zb[:, [k]] * X for k in active], axis=1)
-
-
-def schur_factor(Ma, roots, active):
+def schur_factor(Ma, Ns):
     """F, a x d x (1 + n): the factor L of S(M, N) = L L' on the Schur set.
 
-    ``Ma`` holds the columns M_k, k in ``active``, and ``roots[j]`` a d x d
-    R_j with R_j R_j' = N_k - M_k M_k', k = active[j].  L is c x (d + a n)
-    with rows [I, 0] on the X block; block j's rows hold M_k in column k
-    and R_j's last n columns in columns d + j n .. d + (j + 1) n, where
-    n leaves out the leading columns that no block keeps: a column is
-    kept if its squared norm is above 1e-12 of the largest of all, and
-    zeroed if not.  With the ascending eigenpairs of solver._schur_roots, n
-    is the most any block keeps.  F[j] = [M_k, R_j's n columns].
+    ``Ma`` holds the columns M_k and ``Ns`` the slices N_k of the a
+    active features.  One batched eigh gives W_k = N_k - M_k M_k' =
+    U_k diag(w_k) U_k' with ascending w_k; on C the W_k are PSD, so
+    eigenvalues below zero are rounding and clipped to 0, and the roots
+    R_k = U_k diag(sqrt(w_k)) have R_k R_k' = W_k.  L is c x (d + a n)
+    with rows [I, 0] on the X block; block j's rows hold M_k in column
+    k, the feature of block j, and R_j's last n columns in columns
+    d + j n .. d + (j + 1) n, where n leaves out the leading columns
+    that no block keeps: a column is kept if its squared norm is above
+    1e-12 of the largest of all, and zeroed if not.  As the roots come
+    in ascending order, n is the most any block keeps.
+    F[j] = [M_k, R_j's n columns].
     """
+    w, U = np.linalg.eigh(Ns - np.einsum("rk,sk->krs", Ma, Ma))
+    roots = U * np.sqrt(np.maximum(w, 0.0))[:, None, :]
     sq = np.einsum("jsi,jsi->ji", roots, roots)
     keep = sq > 1e-12 * sq.max(initial=0.0)
     lo = np.append(keep.any(axis=0), True).argmax()  # first column kept, or d
@@ -162,6 +166,62 @@ def schur_l(F, active, V):
     a, d, w = F.shape
     Vb = np.concatenate([V[active][:, None], V[d:].reshape(a, w - 1, V.shape[1])], axis=1)
     return np.concatenate([V[:d], (F @ Vb).reshape(a * d, V.shape[1])])
+
+
+class RelaxedRidge:
+    """f(M, N) = y' (K(M, N) + m*lam*I)^{-1} y on the Schur set C for one
+    training set (X, Zb, y), mlam = m*lam.
+
+    The features with a masked entry are ``active`` and Zba holds their
+    masks.  B = [X, Zba[:, j] * X per active feature], G = B'B and B'y
+    are formed once, O(m c^2).  At a point of C, with L the factor of
+    schur_factor and Phi = B L, K = Phi Phi' past rounding, and by
+    Woodbury alpha = (y - Phi v) / (m*lam), (L'GL + m*lam*I) v = L'B'y.
+    The matrix solved has eigenvalues >= m*lam whatever the rank of B,
+    and a ridge step costs O(m c + m d a + a d^3 + c^2 (1 + n) + c_L^3),
+    c_L = d + a n.  K - Phi Phi' = sum_k D_k X E_k X' D_k with E_k the
+    part of N_k - M_k M_k' that L drops, ||E_k|| <= 1e-12 gamma^2, so
+    past rounding
+
+        ||(K + m*lam*I) alpha - y|| <= 1e-12 gamma^2 a ||X||_2^2 ||y|| / (m*lam).
+    """
+
+    def __init__(self, X, Zb, y, mlam):
+        self.active = np.flatnonzero(Zb.any(axis=0))
+        self.Zba = Zb[:, self.active]
+        self.B = np.concatenate([X] + [self.Zba[:, [j]] * X for j in range(self.active.size)],
+                                axis=1)
+        self.G, self.By = self.B.T @ self.B, self.B.T @ y
+        self.X, self.y, self.mlam = X, y, mlam
+
+    def ridge(self, Ma, Ns):
+        """(f, alpha, (F, A), (c0, s, V)) at the point (Ma, Ns) of C: F its
+        Schur factor, A = L'GL + m*lam*I, and quad_factors of alpha with
+        s on the active features."""
+        F = schur_factor(Ma, Ns)
+        GL = schur_lt(F, self.active, self.G).T  # G L, as G is symmetric
+        H = schur_lt(F, self.active, np.column_stack([GL, self.By]))  # [L'G L, L'B'y]
+        H.flat[:: H.shape[1] + 1] += self.mlam
+        v = np.linalg.solve(H[:, :-1], H[:, -1:])
+        alpha = (self.y - self.B @ schur_l(F, self.active, v)[:, 0]) / self.mlam
+        c0, s, V = quad_factors(self.X, self.Zba, alpha)
+        return float(self.y @ alpha), alpha, (F, H[:, :-1]), (c0, s[self.active], V)
+
+    def curvature(self, fac, s, V, Dm, Dn):
+        """f's second derivative along (Dm, Dn) at the point with ridge
+        factors fac and quad_factors pair (s, V): 2 u'(K + m*lam*I)^{-1} u
+        for u = K_D alpha = B theta, K_D the part of K linear in (Dm, Dn)
+        and theta = S(Dm, Dn) B'alpha less its identity part (s_apply),
+        which by Woodbury is 2 (theta'G theta - w'A^{-1} w) / (m*lam),
+        w = L'G theta."""
+        d = Dm.shape[0]
+        theta = np.zeros(self.B.shape[1])
+        theta[self.active], P = s_apply(s, V, Dm, Dn)
+        theta[d:] = P.T.ravel()
+        F, A = fac
+        Gt = self.G @ theta
+        w = schur_lt(F, self.active, Gt[:, None])[:, 0]
+        return 2.0 * (theta @ Gt - w @ np.linalg.solve(A, w)) / self.mlam
 
 
 def _block_rows(d: int) -> int:

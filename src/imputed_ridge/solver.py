@@ -14,8 +14,8 @@ of a point (quad_factors' pair (s, V), kernel.quad_value's Q_alpha)
 with equality at the point, so -Q_alpha is f's gradient there.
 solve_irr runs Frank-Wolfe on that, from M = N = 0; each iteration:
 
-  1. the ridge step at the incumbent, through its Schur factor L,
-     K = (B L)(B L)' (_schur_ridge, with _schur_roots' one batched eigh);
+  1. the ridge step at the incumbent (kernel.RelaxedRidge, through the
+     Schur factor L of K = (B L)(B L)');
   2. the linear step (_lmo): the maximum of Q_alpha over C and the balls
      at a rank-one point S, with an upper bound G from a two-multiplier
      dual, so a0 - G is a certified lower bound on the relaxed optimum;
@@ -26,10 +26,9 @@ solve_irr runs Frank-Wolfe on that, from M = N = 0; each iteration:
 
 With gamma = 0 or nothing missing (or X = 0), G = 0 and the first
 iteration stops: plain ridge on the zero-filled rows, by the same path.
-No step forms an m x m matrix: O(m c^2) once for G = B'B, then per ridge
-step O(m c + m d a + a d^3 + c^2 (1 + n) + c_L^3), c = d(1 + a), c_L =
-d + a n (kernel.schur_factor).  Primal ridge on explicit rows U (the
-benchmark's baselines) is ridge_weights, the d x d normal equations.
+No step forms an m x m matrix; the costs of a ridge step are
+RelaxedRidge's.  Primal ridge on explicit rows U (the benchmark's
+baselines) is ridge_weights, the d x d normal equations.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ from typing import ClassVar
 import numpy as np
 
 from .dataset import Dataset
-from .kernel import LiftedTensor, _basis, quad_factors, quad_value, relaxed_apply
-from .kernel import s_apply, schur_factor, schur_l, schur_lt
+from .kernel import LiftedTensor, RelaxedRidge, quad_value, relaxed_apply
 
 # Limits of _line_search (trials, slope share) and _lmo (evaluations,
 # relative gap, share of the solve's tol |objective|).
@@ -177,9 +175,6 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
     m, d = X.shape
     if m == 0:
         raise ValueError("empty training set")
-    Zb = 1.0 - Z
-    active = np.flatnonzero(Zb.any(axis=0))
-    a = active.size
     mlam = m * hp.lam
     # ||X||_F^2 (1 + gamma)^2 is the scale of the trace of every kernel
     # in budget; a shift m*lam far below it is lost in rounding, and the
@@ -191,7 +186,8 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
             f"below 1e-12 of the kernel scale {scale:g}"
         )
 
-    obj = _Objective(X, Zb[:, active], y, active, mlam)
+    obj = RelaxedRidge(X, 1.0 - Z, y, mlam)
+    a = obj.active.size
     Ma, Ns = np.zeros((d, a)), np.zeros((a, d, d))
     upper, alpha, fac, (c0, s, V) = obj.ridge(Ma, Ns)
     lower, pq = -np.inf, None
@@ -219,55 +215,9 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
         upper, Ma, Ns, alpha, fac, (c0, s, V) = trial
 
     M, N = np.zeros((d, d)), np.zeros((d, d, d))
-    M[:, active], N[active] = Ma, Ns
+    M[:, obj.active], N[obj.active] = Ma, Ns
     diag = Diagnostics(it, float(max(gap, 0.0)), 0, upper, converged)
     return IrrSolution(alpha, M, LiftedTensor(N, hp.gamma**2), train, hp, diag)
-
-
-class _Objective:
-    """f on C for one training set, with B, G = B'B and B'y formed once;
-    Zba holds the masks Zb[:, k] of the active features k."""
-
-    def __init__(self, X, Zba, y, active, mlam):
-        self.B = _basis(X, Zba, range(active.size))
-        self.G, self.By = self.B.T @ self.B, self.B.T @ y
-        self.X, self.Zba, self.y, self.active, self.mlam = X, Zba, y, active, mlam
-
-    def ridge(self, Ma, Ns):
-        """(f, alpha, (F, A), (c0, s, V)) at the point (Ma, Ns) of C: F its
-        Schur factor, A = L'GL + m*lam*I, and quad_factors of alpha with
-        s on the active features."""
-        F = schur_factor(Ma, _schur_roots(Ma, Ns), self.active)
-        alpha, A = _schur_ridge(self.B, self.G, self.By, self.y, F, self.active, self.mlam)
-        c0, s, V = quad_factors(self.X, self.Zba, alpha)
-        return float(self.y @ alpha), alpha, (F, A), (c0, s[self.active], V)
-
-    def curvature(self, fac, s, V, Dm, Dn):
-        """f's second derivative along (Dm, Dn) at the point with ridge
-        factors fac and quad_factors pair (s, V): 2 u'(K + m*lam*I)^{-1} u
-        for u = K_D alpha = B theta, K_D the part of K linear in (Dm, Dn)
-        and theta = S(Dm, Dn) B'alpha less its identity part (s_apply),
-        which by Woodbury is 2 (theta'G theta - w'A^{-1} w) / (m*lam),
-        w = L'G theta."""
-        d = Dm.shape[0]
-        theta = np.zeros(self.B.shape[1])
-        theta[self.active], P = s_apply(s, V, Dm, Dn)
-        theta[d:] = P.T.ravel()
-        F, A = fac
-        Gt = self.G @ theta
-        w = schur_lt(F, self.active, Gt[:, None])[:, 0]
-        return 2.0 * (theta @ Gt - w @ np.linalg.solve(A, w)) / self.mlam
-
-
-def _schur_roots(Ma, Ns):
-    """Roots U_k diag(sqrt(w_k)) of the blocks N_k - M_k M_k' = U_k diag(w_k) U_k'.
-
-    One batched eigh of the a blocks, M_k column k of Ma.  On C the
-    blocks are PSD, so the eigenvalues below zero are rounding and are
-    clipped to 0; the eigenpairs come in ascending order.
-    """
-    w, U = np.linalg.eigh(Ns - np.einsum("rk,sk->krs", Ma, Ma))
-    return U * np.sqrt(np.maximum(w, 0.0))[:, None, :]
 
 
 def _line_search(obj, Ma, Ns, Dm, Dn, g0, eta):
@@ -280,7 +230,7 @@ def _line_search(obj, Ma, Ns, Dm, Dn, g0, eta):
     the secant through 0, at least 4-fold, then takes Illinois steps on
     the bracket.
     Returns (f, Ma, Ns, alpha, fac, (c0, s, V)) of the trial with the
-    lowest f, as _Objective.ridge gives them.
+    lowest f, as RelaxedRidge.ridge gives them.
     """
     lo, hi = [0.0, g0], None
     kept = 0  # +1 or -1 when the last trial replaced hi or lo
@@ -457,26 +407,6 @@ def _cubic_root(b, k, q):
     D = 12.0 * q * x * x - 2.0 * k
     x = x - (4.0 * q * x * x * x - 2.0 * k * x - b) / D
     return x, 12.0 * q * x * x - 2.0 * k
-
-
-def _schur_ridge(B, G, By, y, F, active, mlam):
-    """Dual ridge weights alpha = (Phi Phi' + m*lam*I)^{-1} y, Phi = B L, and
-    the matrix L'GL + m*lam*I solved for them.
-
-    L is the factor kernel.schur_factor gives as F.  By Woodbury
-    alpha = (y - Phi v) / (m*lam), (L'GL + m*lam*I) v = L'B'y, with G = B'B
-    and B'y formed once per solve: O(m c + c^2 (1 + n) + c_L^3).  The
-    matrix solved has eigenvalues >= m*lam whatever the rank of B.  At a
-    point of C, K - Phi Phi' = sum_k D_k X E_k X' D_k with E_k the part of
-    N_k - M_k M_k' that L drops, ||E_k|| <= 1e-12 gamma^2, so past rounding
-
-        ||(K + m*lam*I) alpha - y|| <= 1e-12 gamma^2 a ||X||_2^2 ||y|| / (m*lam).
-    """
-    GL = schur_lt(F, active, G).T  # G L, as G is symmetric
-    H = schur_lt(F, active, np.column_stack([GL, By]))  # [L'G L, L'B'y]
-    H.flat[:: H.shape[1] + 1] += mlam
-    v = np.linalg.solve(H[:, :-1], H[:, -1:])
-    return (y - B @ schur_l(F, active, v)[:, 0]) / mlam, H[:, :-1]
 
 
 def predict_batch(sol: IrrSolution, test: Dataset) -> np.ndarray:

@@ -198,6 +198,16 @@ def test_digits_one_vs_all(data_csv, tmp_path):
     assert obj["fraction_remaining"]["mean"] == pytest.approx(0.5)
 
 
+def test_digits_rejects_corruption_options(data_csv, tmp_path, capsys):
+    """digits runs column corruption only, so argparse rejects the
+    options that would choose another one instead of ignoring them."""
+    with pytest.raises(SystemExit) as exc:
+        main(["digits", "--data", data_csv, "--digit", "3", "--out", str(tmp_path / "r.json"),
+              "--corruption", "dependent", "--beta", "0.9"])
+    assert exc.value.code != 0
+    assert "--corruption" in capsys.readouterr().err
+
+
 def test_digits_bad_digit(data_csv, tmp_path, capsys):
     code = main(
         ["digits", "--data", data_csv, "--digit", "11",

@@ -3,7 +3,7 @@ import pytest
 
 from imputed_ridge import Dataset, LiftedTensor, corrupt_independent, impute_dataset
 from imputed_ridge.kernel import (
-    _basis,
+    RelaxedRidge,
     _block_rows,
     quad_factors,
     quad_value,
@@ -236,10 +236,10 @@ def test_gradient_matches_finite_differences(rng):
 
 
 def _point_of_c(rng, d, active, rank):
-    """(M, N, roots) with N_k = M_k M_k' + R_k R_k' on the active features.
+    """(M, N) with N_k = M_k M_k' + R_k R_k' on the active features.
 
     R_k is d x d with its last rank columns random, the rest zero, so
-    rank 0 is the exact lift.
+    rank 0 is the exact lift, where N_k - M_k M_k' is 0 bit for bit.
     """
     M = rng.standard_normal((d, d))
     roots = rng.standard_normal((active.size, d, d))
@@ -247,7 +247,7 @@ def _point_of_c(rng, d, active, rank):
     N = np.zeros((d, d, d))
     N[active] = np.einsum("rj,sj->jrs", M[:, active], M[:, active])
     N[active] += roots @ roots.transpose(0, 2, 1)
-    return M, LiftedTensor(N, float(np.linalg.norm(N)) + 1.0), roots
+    return M, LiftedTensor(N, float(np.linalg.norm(N)) + 1.0)
 
 
 def _dense_l(F, active):
@@ -263,9 +263,10 @@ def test_schur_factor_holds_relaxed_kernel(rng):
     Five data shapes: 30 rows, a 4-row mask with one missing entry per
     feature, feature 0 missing in every row (its block Zb[:, 0] * X is X
     itself, so B repeats d columns and B'B is singular), X = 0, and
-    nothing missing (B = X, L = I, K = X X' of rank 4 in 30 rows).  B
-    equals its block list bit for bit.  The roots have 0 (the exact
-    lift), 1 or d nonzero columns, and L keeps exactly the nonzero ones.
+    nothing missing (B = X, L = I, K = X X' of rank 4 in 30 rows).
+    RelaxedRidge's B equals the block list bit for bit.  N_k - M_k M_k'
+    has rank 0 (the exact lift), 1 or d, and L keeps exactly that many
+    root columns per block.
     """
     Z4 = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
     Zdup = corrupt_independent(rng.random((30, 4)), 0.6, 7)
@@ -283,12 +284,12 @@ def test_schur_factor_holds_relaxed_kernel(rng):
         d = ds.d
         Zb = 1.0 - ds.Z
         active = np.flatnonzero(Zb.any(axis=0))
-        B = _basis(ds.X, Zb, active)
+        B = RelaxedRidge(ds.X, Zb, ds.y, 1.0).B
         blocks = [ds.X] + [Zb[:, [k]] * ds.X for k in active]
         np.testing.assert_array_equal(B, np.concatenate(blocks, axis=1))
         for rank in (0, 1, d):
-            M, N, roots = _point_of_c(rng, d, active, rank)
-            F = schur_factor(M[:, active], roots, active)
+            M, N = _point_of_c(rng, d, active, rank)
+            F = schur_factor(M[:, active], N.slices[active])
             L = _dense_l(F, active)
             assert L.shape == (B.shape[1], d + rank * active.size)
             Y = rng.standard_normal((B.shape[1], 3))
@@ -306,26 +307,29 @@ def test_schur_factor_drops_negligible_roots(rng):
     """A root column at or below 1e-12 of the largest squared norm is zeroed,
     and leading columns that no block keeps are left out.
 
-    The roots come in ascending norm, as eigh gives them.  Column 0 is
-    zero in both blocks and left out; block 1's column 1 sits at a
-    quarter of the threshold and is zeroed, while block 0 keeps its
-    column 1, so both blocks keep two columns of L.
+    N_k = M_k M_k' + U_k diag(w_k) U_k' with chosen eigenvalues w_k and
+    random orthonormal U_k, so the root columns' squared norms are the
+    w_k, which eigh gives in ascending order.  Eigenvalue 0 is in both
+    blocks and its column is left out; block 1's 1e-12 sits at a
+    quarter of the threshold 4e-12 and its column is zeroed, while
+    block 0 keeps its 0.25, so both blocks keep two columns of L.
     """
     d, active = 3, np.array([0, 2])
     Ma = rng.standard_normal((d, 2))
-    roots = np.zeros((2, d, d))
-    roots[0, :, 1] = [0.0, 0.0, 0.5]
-    roots[0, :, 2] = [2.0, 0.0, 0.0]  # squared norm 4: the largest
-    roots[1, :, 1] = [0.0, 1e-6, 0.0]  # 1e-12, a quarter of the threshold
-    roots[1, :, 2] = [0.0, 0.0, 3e-6]  # 9e-12, above 4e-12
-    F = schur_factor(Ma, roots, active)
+    w = np.array([[0.0, 0.25, 4.0], [0.0, 1e-12, 9e-12]])  # 4: the largest
+    U = np.linalg.qr(rng.standard_normal((2, d, d)))[0]
+    Ns = np.einsum("rk,sk->krs", Ma, Ma) + (U * w[:, None, :]) @ U.transpose(0, 2, 1)
+    F = schur_factor(Ma, Ns)
     assert F.shape == (2, d, 3)
+    np.testing.assert_array_equal(F[1, :, 1], 0.0)
+    sq = np.einsum("jsi,jsi->ji", F[:, :, 1:], F[:, :, 1:])
+    np.testing.assert_allclose(sq, [[0.25, 4.0], [0.0, 9e-12]], rtol=1e-3, atol=0)
     want = np.zeros((3 * d, d + 4))
     want[:d, :d] = np.eye(d)
     want[d : 2 * d, 0] = Ma[:, 0]
     want[2 * d :, 2] = Ma[:, 1]
-    want[d : 2 * d, d : d + 2] = roots[0, :, 1:]
-    want[2 * d :, d + 3] = roots[1, :, 2]
+    want[d : 2 * d, d : d + 2] = F[0, :, 1:]
+    want[2 * d :, d + 3] = F[1, :, 2]
     np.testing.assert_array_equal(_dense_l(F, active), want)
 
 

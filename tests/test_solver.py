@@ -18,9 +18,9 @@ from imputed_ridge import (
     rmse,
     solve_irr,
 )
-from imputed_ridge import solver as solver_module
-from imputed_ridge.kernel import _basis, quad_value, schur_factor
-from imputed_ridge.solver import _lmo, _Objective, _schur_ridge, _schur_roots
+from imputed_ridge import kernel as kernel_module
+from imputed_ridge.kernel import RelaxedRidge, quad_value, schur_factor
+from imputed_ridge.solver import _lmo
 from tests.conftest import random_corrupted
 from tests.reference import build_km, build_kmn
 
@@ -294,11 +294,12 @@ def test_factored_path_matches_dense():
     Three shapes: a basis narrower than m (m=200, d=5), a wider one
     (m=60, d=8, beta 0.6, where c = 72 > m) and X = 0.  At random
     in-budget points of the Schur set C, N_k = M_k M_k' + P_k P_k' (P_k
-    zero for an exact lift): the kernel is PSD, the c_L x c_L solve
-    through the Schur factor L (P_k as the roots) matches a dense solve
-    of K + m*lam*I, and the same step on the imputed rows with L = I
-    (a d x d solve) matches the dense one of the
-    exact kernel.  On X = 0 a full solve is plain ridge on the
+    zero for an exact lift, where N_k - M_k M_k' is 0 bit for bit): the
+    kernel is PSD, RelaxedRidge's c_L x c_L solve through the Schur
+    factor L (no root columns at the lift, d with P_k) matches a dense
+    solve of K + m*lam*I, and the same step on the imputed rows with
+    nothing masked, so L = I (a d x d solve), matches the dense one of
+    the exact kernel.  On X = 0 a full solve is plain ridge on the
     zero-filled rows.
     """
     Z0 = np.ones((12, 3))
@@ -312,32 +313,32 @@ def test_factored_path_matches_dense():
     rng = np.random.default_rng(5)
     lam, gamma = 2.0**-2, 1.5
     for ds in cases:
-        no_blocks = schur_factor(np.zeros((ds.d, 0)), np.zeros((0, ds.d, ds.d)), [])
         m, d, y = ds.m, ds.d, ds.y
         mlam = m * lam
         Zb = 1.0 - ds.Z
-        active = np.flatnonzero(Zb.any(axis=0))
-        B = _basis(ds.X, Zb, active)
-        G, By = B.T @ B, B.T @ y
+        obj = RelaxedRidge(ds.X, Zb, y, mlam)
+        active = obj.active
+        none_masked = np.zeros((d, 0)), np.zeros((0, d, d))
         for trial in range(8):
             G0 = rng.standard_normal((d, d))
             M = G0 * (gamma * rng.random() / np.linalg.norm(G0))
             P = rng.standard_normal((d, d, d)) * (trial % 2)
             S = np.einsum("rk,sk->krs", M, M) + P @ P.transpose(0, 2, 1)
-            t2 = min(1.0, gamma**2 / np.sqrt((S * S).sum()))
-            M, S, P = M * np.sqrt(t2), S * t2, P * np.sqrt(t2)
+            t = np.sqrt(min(1.0, gamma**2 / np.sqrt((S * S).sum())))
+            M, P = M * t, P * t
+            S = np.einsum("rk,sk->krs", M, M) + P @ P.transpose(0, 2, 1)
             K = build_kmn(ds, M, LiftedTensor(S, gamma**2))
             scale = max(np.abs(K).max(), 1.0)
             assert np.linalg.eigvalsh(K)[0] >= -1e-12 * scale
-            F = schur_factor(M[:, active], P[active], active)
+            F = schur_factor(M[:, active], S[active])
             assert F.shape == (active.size, d, 1 + (trial % 2) * d)
-            alpha = _schur_ridge(B, G, By, y, F, active, mlam)[0]
+            alpha = obj.ridge(M[:, active], S[active])[1]
             dense = np.linalg.solve(K + mlam * np.eye(m), y)
             assert np.linalg.norm(alpha - dense) <= 1e-9 * np.linalg.norm(dense)
             # the primal solve on the imputed rows is the exact kernel's
             Ximp = ds.X + Zb * (ds.X @ M)
             exact = dense_alpha(build_km(ds, M), y, lam)
-            primal = _schur_ridge(Ximp, Ximp.T @ Ximp, Ximp.T @ y, y, no_blocks, [], mlam)[0]
+            primal = RelaxedRidge(Ximp, np.zeros_like(Zb), y, mlam).ridge(*none_masked)[1]
             assert np.linalg.norm(primal - exact) <= 1e-9 * np.linalg.norm(exact)
     ds, hp = cases[2], Hyperparams(lam=0.5, gamma=1.0)
     sol = solve_irr(ds, hp)
@@ -348,12 +349,12 @@ def test_factored_path_matches_dense():
 
 
 def test_schur_roots_factor_blocks():
-    """The roots _schur_roots returns factor the blocks of points of C.
+    """The roots schur_factor keeps factor the blocks of points of C.
 
     At N_k = M_k M_k' + P_k P_k', at an exact lift (blocks 0, where
     eigh's rounding may go below zero and is clipped) and at a convex
-    combination of the two, as a line search visits: R_k R_k' =
-    N_k - M_k M_k' to rounding, with finite roots.
+    combination of the two, as a line search visits: F[k] = [M_k, R_k]
+    with R_k R_k' = N_k - M_k M_k' to rounding, with finite roots.
     """
     rng = np.random.default_rng(3)
     d, a = 4, 3
@@ -365,7 +366,9 @@ def test_schur_roots_factor_blocks():
     Mc = 0.3 * points[0][0] + 0.7 * points[1][0]
     points.append((Mc, 0.3 * points[0][1] + 0.7 * points[1][1]))
     for Mo, No in points:
-        roots = _schur_roots(Mo, No)
+        F = schur_factor(Mo, No)
+        np.testing.assert_array_equal(F[:, :, 0], Mo.T)
+        roots = F[:, :, 1:]
         assert np.isfinite(roots).all()
         W = No - np.einsum("rk,sk->krs", Mo, Mo)
         np.testing.assert_allclose(roots @ roots.transpose(0, 2, 1), W, rtol=0, atol=1e-12)
@@ -477,15 +480,13 @@ def test_certified_bound_below_exact_objectives():
 
 
 def test_slope_and_curvature_match_differences():
-    """Along a segment of C, f's slope -Q_alpha(D) and _Objective.curvature
+    """Along a segment of C, f's slope -Q_alpha(D) and RelaxedRidge.curvature
     match central differences of f and of the slope (the line search's
     first step is -slope / curvature)."""
     rng = np.random.default_rng(9)
     ds, lam, gamma = random_corrupted(rng, 40, 4), 2.0**-5, 0.8
-    Zb = 1.0 - ds.Z
-    active = np.flatnonzero(Zb.any(axis=0))
-    a, d, h = active.size, ds.d, 1e-5
-    obj = _Objective(ds.X, Zb[:, active], ds.y, active, ds.m * lam)
+    obj = RelaxedRidge(ds.X, 1.0 - ds.Z, ds.y, ds.m * lam)
+    a, d, h = obj.active.size, ds.d, 1e-5
     points = [next(_points_of_c(rng, d, a, gamma, rng.standard_normal(a), rng.standard_normal((d, a))))
               for _ in range(2)]
     (M0, N0), (M1, N1) = points
@@ -504,9 +505,10 @@ def test_slope_and_curvature_match_differences():
 
 def test_one_quad_factors_per_ridge_step(monkeypatch):
     """A solve forms quad_factors once per ridge step, the incumbent's
-    included: the main loop reuses the pair its ridge step gave."""
+    included: the main loop reuses the pair its ridge step gave.  The
+    count is of the name RelaxedRidge.ridge looks up in the kernel module."""
     calls = {"ridge": 0, "quad": 0}
-    ridge, quad = _Objective.ridge, solver_module.quad_factors
+    ridge, quad = RelaxedRidge.ridge, kernel_module.quad_factors
 
     def counted_ridge(*args, **kwargs):
         calls["ridge"] += 1
@@ -516,8 +518,8 @@ def test_one_quad_factors_per_ridge_step(monkeypatch):
         calls["quad"] += 1
         return quad(*args)
 
-    monkeypatch.setattr(_Objective, "ridge", counted_ridge)
-    monkeypatch.setattr(solver_module, "quad_factors", counted_quad)
+    monkeypatch.setattr(RelaxedRidge, "ridge", counted_ridge)
+    monkeypatch.setattr(kernel_module, "quad_factors", counted_quad)
     ds = random_corrupted(np.random.default_rng(9), 40, 4)
     sol = solve_irr(ds, Hyperparams(lam=2.0**-5, gamma=0.8))
     assert sol.diagnostics.iterations > 1
