@@ -29,8 +29,8 @@ use that in three factored forms:
   * schur_factor: on the Schur set, where every W_k = N_k - M[:, k]
     M[:, k]' is PSD, S = L L' with L the identity on the X block and
     M[:, k] routed into column k from block k, then in block k's rows a
-    column per eigenpair of W_k above 1e-12 of the largest eigenvalue
-    of all, its eigenvector times the root of its eigenvalue.  So
+    column per eigenpair of W_k above 1e-12 of the largest ||N_j||_F,
+    its eigenvector times the root of its eigenvalue.  So
     K = (B L)(B L)' there, B L starts with the M-imputed rows, and as
     each block holds at most n <= d such columns, schur_lt and schur_l
     multiply by L' and L in O(c (1 + n)) per column.
@@ -136,14 +136,16 @@ def schur_factor(Ma, Ns):
     k, the feature of block j, and R_j's last n columns in columns
     d + j n .. d + (j + 1) n, where n leaves out the leading columns
     that no block keeps: a column is kept if its squared norm is above
-    1e-12 of the largest of all, and zeroed if not.  As the roots come
-    in ascending order, n is the most any block keeps.
+    1e-12 of the largest ||N_j||_F, and zeroed if not; as W_j <= N_j,
+    no eigenvalue is above that scale, and at an exact lift the floor
+    drops eigh's rounding.  As the roots come in ascending order, n is
+    the most any block keeps.
     F[j] = [M_k, R_j's n columns].
     """
     w, U = np.linalg.eigh(Ns - np.einsum("rk,sk->krs", Ma, Ma))
     roots = U * np.sqrt(np.maximum(w, 0.0))[:, None, :]
     sq = np.einsum("jsi,jsi->ji", roots, roots)
-    keep = sq > 1e-12 * sq.max(initial=0.0)
+    keep = sq > 1e-12 * np.sqrt(np.einsum("krs,krs->k", Ns, Ns).max(initial=0.0))
     lo = np.append(keep.any(axis=0), True).argmax()  # first column kept, or d
     R = roots[:, :, lo:] * keep[:, None, lo:]
     return np.concatenate([Ma.T[:, :, None], R], axis=2)

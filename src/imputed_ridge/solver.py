@@ -21,8 +21,10 @@ solve_irr runs Frank-Wolfe on that, from M = N = 0; each iteration:
      dual, so a0 - G is a certified lower bound on the relaxed optimum;
   3. stop when the incumbent is within relative tol of the best bound
      (Diagnostics.gap, a certificate as in Jaggi 2013);
-  4. else a line search of f toward S (_line_search); the segment stays
-     in C and the balls, as they are convex.
+  4. else a step toward S (_line_search): the Newton step of f along
+     the segment, backtracked on a quadratic model until f descends, so
+     one ridge step as a rule; the segment stays in C and the balls, as
+     they are convex.
 
 With gamma = 0 or nothing missing (or X = 0), G = 0 and the first
 iteration stops: plain ridge on the zero-filled rows, by the same path.
@@ -45,10 +47,9 @@ import numpy as np
 from .dataset import Dataset
 from .kernel import LiftedTensor, RelaxedRidge, quad_value, relaxed_apply
 
-# Limits of _line_search (trials, slope share) and _lmo (evaluations,
-# relative gap, share of the solve's tol |objective|).
-LINE_TRIALS, LINE_SLOPE = 12, 0.05
-LMO_STEPS, LMO_RTOL, LMO_SHARE = 60, 1e-10, 0.01
+# Limits of _line_search (trials) and _lmo (evaluations, relative gap,
+# share of the solve's tol |objective|).
+LINE_TRIALS, LMO_STEPS, LMO_RTOL, LMO_SHARE = 12, 60, 1e-10, 0.01
 
 
 @dataclass(frozen=True)
@@ -209,7 +210,7 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
         if it == cfg.max_outer or not g0 < 0.0:
             break  # out of iterations, or no descent direction above rounding
         eta = min(1.0, -g0 / max(obj.curvature(fac, s, V, Dm, Dn), 1e-300))
-        trial = _line_search(obj, Ma, Ns, Dm, Dn, g0, eta)
+        trial = _line_search(obj, Ma, Ns, Dm, Dn, upper, g0, eta)
         if not trial[0] < upper:
             break  # no trial improved on the incumbent: descent is below rounding
         upper, Ma, Ns, alpha, fac, (c0, s, V) = trial
@@ -220,43 +221,29 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
     return IrrSolution(alpha, M, LiftedTensor(N, hp.gamma**2), train, hp, diag)
 
 
-def _line_search(obj, Ma, Ns, Dm, Dn, g0, eta):
-    """Minimize the convex phi(eta) = f((Ma, Ns) + eta (Dm, Dn)) on [0, 1]
-    from a first trial at ``eta``; phi'(0) = g0 < 0.
+def _line_search(obj, Ma, Ns, Dm, Dn, f0, g0, eta):
+    """Descend the convex phi(eta) = f((Ma, Ns) + eta (Dm, Dn)) on [0, 1],
+    phi(0) = f0 and phi'(0) = g0 < 0, from a first trial at ``eta``.
 
-    A trial is one ridge step, and phi' = -Q_alpha(Dm, Dn) there.  The
-    search stops at |phi'| <= LINE_SLOPE |g0|, at eta = 1 with phi' <= 0,
-    or after LINE_TRIALS trials: until phi' changes sign it extrapolates
-    the secant through 0, at least 4-fold, then takes Illinois steps on
-    the bracket.
+    A trial is one ridge step, and the first with phi below f0 is taken.
+    A trial that does not descend is followed by the minimizer of the
+    quadratic through phi(0), phi'(0) and phi(eta), clamped to
+    [eta / 10, eta / 2], for at most LINE_TRIALS trials: backtracking on
+    a quadratic model, which keeps Frank-Wolfe's convergence (Pedregosa
+    et al. 2020), while the certified bound does not depend on the step.
     Returns (f, Ma, Ns, alpha, fac, (c0, s, V)) of the trial with the
     lowest f, as RelaxedRidge.ridge gives them.
     """
-    lo, hi = [0.0, g0], None
-    kept = 0  # +1 or -1 when the last trial replaced hi or lo
     best = None
     for _ in range(LINE_TRIALS):
         Mt, Nt = Ma + eta * Dm, Ns + eta * Dn
         f, alpha, fac, quad = obj.ridge(Mt, Nt)
         if best is None or f < best[0]:
             best = (f, Mt, Nt, alpha, fac, quad)
-        _, s, V = quad
-        g = -quad_value(s, V, Dm, Dn)
-        if (g <= 0.0 and eta == 1.0) or abs(g) <= LINE_SLOPE * -g0:
+        if f < f0:
             break
-        # Illinois: halve the kept end's slope when the same end moves twice
-        if g > 0.0:
-            if kept == 1:
-                lo[1] *= 0.5
-            hi, kept = [eta, g], 1
-        else:
-            if kept == -1 and hi is not None:
-                hi[1] *= 0.5
-            lo, kept = [eta, g], -1
-        if hi is None:  # at least 4 times further until phi' changes sign
-            eta = min(1.0, max(4.0 * eta, eta * g0 / (g0 - g) if g0 < g else 1.0))
-        else:
-            eta = lo[0] - lo[1] * (hi[0] - lo[0]) / (hi[1] - lo[1])
+        # f0 + g0 x + (f - f0 - g0 eta) (x / eta)^2 is least at x = eta times
+        eta *= min(0.5, max(0.1, -0.5 * g0 * eta / (f - f0 - g0 * eta)))
     return best
 
 
@@ -301,17 +288,18 @@ def _lmo(s, V, gamma, pq, slack=0.0):
         p, q = float(np.linalg.norm(b)) / 2.0, max(float(np.linalg.norm(c)), 1e-6) / 2.0
     else:
         p, q = pq
+    bl, cl = b.tolist(), c.tolist()
     best_G, best_P = np.inf, -np.inf
     base = None  # (G, p, q, slope) where the last Newton step started
     p_cap = p
     for _ in range(LMO_STEPS):
-        G, (gp, gq), (hpp, hpq, hqq), mu, nu = _lmo_inner(b, c, p, q)
-        t = 1.0 / max(1.0, math.sqrt(mu @ mu), math.sqrt(math.sqrt(nu @ nu)))
-        P = t * float(b @ mu) + t * t * float(c @ nu)
+        G, (gp, gq), (hpp, hpq, hqq), mu, nu, bm, cn = _lmo_inner(bl, cl, p, q)
+        t = 1.0 / max(1.0, math.sqrt(1.0 - gp), math.sqrt(math.sqrt(1.0 - gq)))
+        P = t * bm + t * t * cn
         if G < best_G:
             best_G, best_pq = G, (p, q)
         if P > best_P:
-            best_P, best_mu, best_nu = P, t * mu, t * t * nu
+            best_P, best_t, best_mu, best_nu = P, t, mu, nu
         if best_G - best_P <= max(LMO_RTOL * best_G, slack / top):
             break
         if base is not None and G > base[0] + 1e-4 * step * base[3] + 1e-15 * base[0]:
@@ -345,7 +333,7 @@ def _lmo(s, V, gamma, pq, slack=0.0):
         base = (G, p, q, gp * dp + gq * dq)
         p, q = max(p + step * dp, 0.0), q + step * dq
     mu, nu = np.zeros(a), np.zeros(a)
-    mu[live], nu[live] = best_mu, best_nu
+    mu[live], nu[live] = best_t * np.array(best_mu), best_t * best_t * np.array(best_nu)
     _, Sm, Sn = _rank_one(V, nv, s, gamma, mu, nu)
     return best_G * top, Sm, Sn, best_pq
 
@@ -361,51 +349,60 @@ def _rank_one(V, nv, s, gamma, mu, nu):
 
 
 def _lmo_inner(b, c, p, q):
-    """G(p, q) of _lmo, its gradient (1 - ||mu||^2, 1 - ||nu||^2), Hessian
-    and maximizers.  The best nu for a mu is max(c / 2q, mu^2), so: if
+    """G(p, q) of _lmo, its gradient (1 - ||mu||^2, 1 - ||nu||^2), Hessian,
+    the maximizers mu and nu, b'mu and c'nu, for lists b and c, in one
+    pass of scalar arithmetic: on a few features numpy's per-call cost
+    would dominate.  The best nu for a mu is max(c / 2q, mu^2), so: if
     b <= 2p sqrt(c / 2q), mu = b / 2p and nu = c / 2q; else nu = mu^2,
     mu the positive root of 4q mu^3 - 2(c - p) mu - b (_cubic_root)."""
-    r2 = c / (2.0 * q)
-    first = b * b <= 4.0 * p * p * r2
-    mu, nu = np.empty_like(b), np.empty_like(b)
-    hpp = hpq = hqq = 0.0
-    if first.any():
-        m1 = b[first] / (2.0 * p) if p > 0.0 else np.zeros(int(first.sum()))
-        mu[first], nu[first] = m1, r2[first]
-        hpp += 2.0 * float(m1 @ m1) / p if p > 0.0 else 0.0
-        hqq += 2.0 * float(r2[first] @ r2[first]) / q
-    if not first.all():
-        second = ~first
-        x, D = _cubic_root(b[second], c[second] - p, q)
-        x2 = x * x
-        mu[second], nu[second] = x, x2
-        hpp += float((4.0 * x2 / D).sum())
-        hpq += float((8.0 * x2 * x2 / D).sum())
-        hqq += float((16.0 * x2 * x2 * x2 / D).sum())
-    G = p + q + float(b @ mu + c @ nu - p * (mu @ mu) - q * (nu @ nu))
-    return G, (1.0 - float(mu @ mu), 1.0 - float(nu @ nu)), (hpp, hpq, hqq), mu, nu
+    hpp = hpq = hqq = mm = nn = bm = cn = 0.0
+    mu, nu = [], []
+    for bk, ck in zip(b, c):
+        r2 = ck / (2.0 * q)
+        if bk * bk <= 4.0 * p * p * r2:
+            x, v = 0.0, r2
+            if p > 0.0:
+                x = bk / (2.0 * p)
+                hpp += 2.0 * x * x / p
+            hqq += 2.0 * r2 * r2 / q
+        else:
+            x, D = _cubic_root(bk, ck - p, q)
+            v = x * x
+            hpp += 4.0 * v / D
+            hpq += 8.0 * v * v / D
+            hqq += 16.0 * v * v * v / D
+        mu.append(x)
+        nu.append(v)
+        mm += x * x
+        nn += v * v
+        bm += bk * x
+        cn += ck * v
+    G = p + q + bm + cn - p * mm - q * nn
+    return G, (1.0 - mm, 1.0 - nn), (hpp, hpq, hqq), mu, nu, bm, cn
 
 
 def _cubic_root(b, k, q):
     """The positive root x of 4q x^3 - 2k x - b (b, q > 0) and D = 12q x^2
     - 2k > 0 there.  With P = k / 6q, h = b / 8q and z = h / |P|^1.5 it is
     2 sqrt(P) cos(acos(z) / 3) (P > 0, z <= 1), 2 sqrt(P) cosh(acosh(z) / 3)
-    (P > 0, z > 1) or 2 sqrt(-P) sinh(asinh(z) / 3) (P <= 0), free of
+    (P > 0, z > 1) or 2 sqrt(-P) sinh(asinh(z) / 3) (P < 0), free of
     cancellation; one Newton step polishes where acos loses digits."""
     P, h = k / (6.0 * q), b / (8.0 * q)
-    rt = np.sqrt(np.abs(P))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        z = h / (rt * rt * rt)
-        x = np.where(
-            P > 0.0,
-            np.where(z <= 1.0, np.cos(np.arccos(np.minimum(z, 1.0)) / 3.0),
-                     np.cosh(np.arccosh(np.maximum(z, 1.0)) / 3.0)),
-            np.sinh(np.arcsinh(z) / 3.0),
-        ) * (2.0 * rt)
-    # P = 0 or z overflowing: the cube root of 2h is the root
-    x = np.where(np.isfinite(x) & (x > 0.0), x, np.cbrt(2.0 * h))
+    rt = math.sqrt(abs(P))
+    r3 = rt * rt * rt
+    x = 0.0
+    if r3 > 0.0:
+        z = h / r3  # may be inf, which the cube root below catches
+        if P < 0.0:
+            x = 2.0 * rt * math.sinh(math.asinh(z) / 3.0)
+        elif z <= 1.0:
+            x = 2.0 * rt * math.cos(math.acos(z) / 3.0)
+        else:
+            x = 2.0 * rt * math.cosh(math.acosh(z) / 3.0)
+    if not 0.0 < x < math.inf:  # P = 0 or z overflowing: the cube root of 2h is the root
+        x = (2.0 * h) ** (1.0 / 3.0)
     D = 12.0 * q * x * x - 2.0 * k
-    x = x - (4.0 * q * x * x * x - 2.0 * k * x - b) / D
+    x -= (4.0 * q * x * x * x - 2.0 * k * x - b) / D
     return x, 12.0 * q * x * x - 2.0 * k
 
 

@@ -304,15 +304,16 @@ def test_schur_factor_holds_relaxed_kernel(rng):
 
 
 def test_schur_factor_drops_negligible_roots(rng):
-    """A root column at or below 1e-12 of the largest squared norm is zeroed,
+    """A root column at or below 1e-12 of the largest ||N_k||_F is zeroed,
     and leading columns that no block keeps are left out.
 
     N_k = M_k M_k' + U_k diag(w_k) U_k' with chosen eigenvalues w_k and
     random orthonormal U_k, so the root columns' squared norms are the
     w_k, which eigh gives in ascending order.  Eigenvalue 0 is in both
-    blocks and its column is left out; block 1's 1e-12 sits at a
-    quarter of the threshold 4e-12 and its column is zeroed, while
-    block 0 keeps its 0.25, so both blocks keep two columns of L.
+    blocks and its column is left out; block 1's 1e-12 sits below the
+    threshold, about 4.5e-12 here (||N_0||_F is about 4.5), and its
+    column is zeroed, while block 0 keeps its 0.25 and block 1 its
+    9e-12, so both blocks keep two columns of L.
     """
     d, active = 3, np.array([0, 2])
     Ma = rng.standard_normal((d, 2))
@@ -331,6 +332,21 @@ def test_schur_factor_drops_negligible_roots(rng):
     want[d : 2 * d, d : d + 2] = F[0, :, 1:]
     want[2 * d :, d + 3] = F[1, :, 2]
     np.testing.assert_array_equal(_dense_l(F, active), want)
+
+
+def test_schur_factor_exact_lift_has_no_root_columns():
+    """At an exact lift formed as N_k = t^2 M_k M_k' against Ma = t M, every
+    W_k is eigh's rounding alone; F keeps no root column (width 1), as
+    the keep test's floor is relative to the scale of N.  A floor
+    relative to the largest root alone kept three columns here, with
+    entries up to about 3e-9."""
+    rng = np.random.default_rng(5)
+    d, t = 5, 0.37
+    G0 = rng.standard_normal((d, d))
+    M = G0 * (1.5 * rng.random() / np.linalg.norm(G0))
+    F = schur_factor(t * M, t * t * np.einsum("rk,sk->krs", M, M))
+    assert F.shape == (d, d, 1)
+    np.testing.assert_array_equal(F[:, :, 0], (t * M).T)
 
 
 def test_lifted_tensor_budget():

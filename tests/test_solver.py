@@ -20,9 +20,9 @@ from imputed_ridge import (
 )
 from imputed_ridge import kernel as kernel_module
 from imputed_ridge.kernel import RelaxedRidge, quad_value, schur_factor
-from imputed_ridge.solver import _lmo
+from imputed_ridge.solver import LINE_TRIALS, _line_search, _lmo, _lmo_inner
 from tests.conftest import random_corrupted
-from tests.reference import build_km, build_kmn
+from tests.reference import build_km, build_kmn, lmo_inner
 
 
 @pytest.fixture
@@ -438,18 +438,52 @@ def test_lmo_bound_covers_points_of_c(gamma):
 @pytest.mark.parametrize("gamma", [2.0**-7, 4.0])
 def test_lmo_finite_without_runtime_warnings(gamma):
     """No overflow, division by zero or invalid value in the linear step
-    at the budget extremes, with an all-zero V column, or with V = 0."""
+    at the budget extremes, with an all-zero V column, or with V = 0:
+    neither numpy's warnings nor the errors math raises in their place."""
     rng = np.random.default_rng(5)
     cases = list(_lmo_cases(rng)) + [(rng.standard_normal(2), np.zeros((3, 2)))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for s, V in cases:
-            out = _lmo(s, V, gamma, None)
-            assert np.isfinite(out[0])
-            assert np.isfinite(out[1]).all() and np.isfinite(out[2]).all()
-        ds = random_corrupted(rng, 40, 4)
-        sol = solve_irr(ds, Hyperparams(2.0**-6, gamma))
+        try:
+            for s, V in cases:
+                out = _lmo(s, V, gamma, None)
+                assert np.isfinite(out[0])
+                assert np.isfinite(out[1]).all() and np.isfinite(out[2]).all()
+            ds = random_corrupted(rng, 40, 4)
+            sol = solve_irr(ds, Hyperparams(2.0**-6, gamma))
+        except (OverflowError, ValueError, ZeroDivisionError) as exc:
+            pytest.fail(f"arithmetic error in the linear step: {exc!r}")
     assert np.isfinite(sol.alpha).all() and sol.diagnostics.converged
+
+
+def test_scalar_dual_matches_numpy_reference():
+    """_lmo_inner's scalar pass against the numpy form in tests.reference:
+    G, gradient, Hessian, maximizers, b'mu and c'nu agree to 1e-12
+    relative on random (b, c, p, q) and on the edges of _cubic_root:
+    p = 0, P <= 0 (c <= p, with c = p exactly), z > 1, z <= 1 and z
+    overflowing (p = 0 and c so small that |P|^1.5 is subnormal), with
+    some b = 0 and with features on both branches."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(40):
+        a = int(rng.integers(1, 17))
+        b, c = rng.random(a), rng.random(a)
+        b[rng.random(a) < 0.2] = 0.0
+        cases.append((b, c, float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.05, 2.0))))
+    b, c = rng.random(6), rng.random(6)
+    cases += [
+        (b, c, 0.0, 0.7),  # p = 0: every feature with b > 0 on the cubic branch
+        (b, c * 0.1, 0.5, 0.3),  # c < p: P < 0, the sinh form
+        (b, np.full(6, 0.5), 0.5, 0.3),  # c = p: P = 0, the cube root
+        (b * 50.0, c, 0.01, 0.4),  # z > 1: the cosh form
+        (b * 1e-3, c, 1e-3, 0.4),  # z <= 1: the cos form
+        (b + 0.5, np.full(6, 1e-206), 0.0, 0.5),  # |P|^1.5 subnormal: z = inf
+    ]
+    for b, c, p, q in cases:
+        got = _lmo_inner(b.tolist(), c.tolist(), p, q)
+        want = lmo_inner(b, c, p, q)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(np.asarray(g), np.asarray(w), rtol=1e-12, atol=0)
 
 
 def test_certified_bound_below_exact_objectives():
@@ -504,9 +538,11 @@ def test_slope_and_curvature_match_differences():
 
 
 def test_one_quad_factors_per_ridge_step(monkeypatch):
-    """A solve forms quad_factors once per ridge step, the incumbent's
-    included: the main loop reuses the pair its ridge step gave.  The
-    count is of the name RelaxedRidge.ridge looks up in the kernel module."""
+    """A solve takes one ridge step per iteration and forms quad_factors
+    once per ridge step: the start's, then the accepted Newton step of
+    each iteration but the last, which stops.  The main loop reuses the
+    pair its ridge step gave.  The count is of the name RelaxedRidge.ridge
+    looks up in the kernel module."""
     calls = {"ridge": 0, "quad": 0}
     ridge, quad = RelaxedRidge.ridge, kernel_module.quad_factors
 
@@ -523,7 +559,52 @@ def test_one_quad_factors_per_ridge_step(monkeypatch):
     ds = random_corrupted(np.random.default_rng(9), 40, 4)
     sol = solve_irr(ds, Hyperparams(lam=2.0**-5, gamma=0.8))
     assert sol.diagnostics.iterations > 1
-    assert calls["quad"] == calls["ridge"] > sol.diagnostics.iterations
+    assert calls["quad"] == calls["ridge"] == sol.diagnostics.iterations
+
+
+class _Stub:
+    """An objective along a segment for _line_search: ridge(Mt, Nt) gives
+    phi at Mt[0] (Ns and Dn are zero) and records the trial."""
+
+    def __init__(self, phi):
+        self.phi, self.trials = phi, []
+
+    def ridge(self, Mt, Nt):
+        eta = float(Mt[0])
+        self.trials.append(eta)
+        return self.phi(eta), None, None, None
+
+
+@pytest.mark.parametrize("k", [2.0, 100.0])
+def test_line_search_backtracks_on_quadratic_model(k):
+    """phi(x) = -x + k x^4 is convex with phi(0) = 0 and phi'(0) = -1, and
+    its curvature at 0 is 0, so the Newton step is the full step 1, where
+    phi(1) = k - 1 > 0.  The second trial is the minimizer of the
+    quadratic through phi(0), phi'(0) and phi(1), 1 / (2 k), clamped to
+    [1/10, 1/2]: 1/4 at k = 2, 1/10 at k = 100.  It descends and is what
+    the search returns."""
+    obj = _Stub(lambda x: -x + k * x**4)
+    zero = np.zeros(1)
+    f, Mt, *_ = _line_search(obj, zero, zero, np.ones(1), zero, 0.0, -1.0, 1.0)
+    want = min(0.5, max(0.1, 1.0 / (2.0 * k)))
+    assert obj.trials == [1.0, pytest.approx(want, rel=1e-15)]
+    assert f == obj.phi(want) < 0.0
+    assert Mt[0] == obj.trials[-1]
+
+
+def test_line_search_accepts_descending_newton_step():
+    """A first trial below phi(0) is taken as it is, one ridge step.  A phi
+    flat in rounding, whose slope g0 < 0 never shows in f, halves eta
+    each trial, LINE_TRIALS trials in all, and returns a trial no lower
+    than phi(0), which the main loop rejects."""
+    zero = np.zeros(1)
+    obj = _Stub(lambda x: (x - 0.6) ** 2 - 0.36)
+    f = _line_search(obj, zero, zero, np.ones(1), zero, 0.0, -1.2, 0.6)[0]
+    assert obj.trials == [0.6] and f == -0.36
+    flat = _Stub(lambda x: 1.0)
+    f = _line_search(flat, zero, zero, np.ones(1), zero, 1.0, -1e-20, 1.0)[0]
+    assert flat.trials == [0.5**i for i in range(LINE_TRIALS)]
+    assert f == 1.0
 
 
 def test_solve_needs_no_qr(monkeypatch):
@@ -545,18 +626,28 @@ def test_solve_needs_no_qr(monkeypatch):
 def test_capped_run_reports_not_converged():
     """Diagnostics.converged is the tol test, not a gap within slack.
 
-    Capped one iteration before it converges, the run's gap is already
-    within ten times the tolerance, which once counted as converged.
+    On a panel (rc m=30, d=4, seeds 0-3, a 2 x 2 grid of lam and gamma)
+    every default solve converges after more than one iteration, and the
+    run capped one iteration short stops at the cap, not converged, with
+    its gap above tol.  At least one capped gap is within ten times the
+    tolerance, which once counted as converged.
     """
-    ds = random_corrupted(np.random.default_rng(0), 30, 4)
-    hp = Hyperparams(2.0**-3, 1.0)
-    full = solve_irr(ds, hp).diagnostics
-    assert full.converged
-    cfg = SolverConfig(max_outer=full.iterations - 1)
-    capped = solve_irr(ds, hp, cfg).diagnostics
-    assert capped.iterations == cfg.max_outer
-    assert cfg.tol < capped.gap / abs(capped.objective) <= 10.0 * cfg.tol
-    assert not capped.converged
+    near = 0
+    for seed in range(4):
+        ds = random_corrupted(np.random.default_rng(seed), 30, 4)
+        for lam in (2.0**-3, 2.0**-6):
+            for gamma in (2.0**-2, 1.0):
+                hp = Hyperparams(lam, gamma)
+                full = solve_irr(ds, hp).diagnostics
+                assert full.converged and full.iterations > 1, (seed, lam, gamma)
+                cfg = SolverConfig(max_outer=full.iterations - 1)
+                capped = solve_irr(ds, hp, cfg).diagnostics
+                assert capped.iterations == cfg.max_outer, (seed, lam, gamma)
+                assert not capped.converged, (seed, lam, gamma)
+                rel = capped.gap / abs(capped.objective)
+                assert rel > cfg.tol, (seed, lam, gamma)
+                near += rel <= 10.0 * cfg.tol
+    assert near >= 1
 
 
 def test_solve_allocates_no_m_by_m_matrix():
