@@ -44,7 +44,9 @@ use that in three factored forms:
 
 RelaxedRidge is the ridge objective y' (K + m*lam*I)^{-1} y of one
 training set on the Schur set, with its second derivative along a
-direction: the solver reaches B, B'B and L only through it.  s_apply is
+direction: the solver reaches B, L, Phi = B L and B'B only through it,
+and it forms B'B only once a solve has taken enough steps through Phi
+to pay for it.  s_apply is
 the one copy of S(M, N) B'a on the masked blocks: RelaxedRidge's
 curvature and relaxed_apply both call it.
 
@@ -135,17 +137,18 @@ def schur_factor(Ma, Ns):
     with rows [I, 0] on the X block; block j's rows hold M_k in column
     k, the feature of block j, and R_j's last n columns in columns
     d + j n .. d + (j + 1) n, where n leaves out the leading columns
-    that no block keeps: a column is kept if its squared norm is above
-    1e-12 of the largest ||N_j||_F, and zeroed if not; as W_j <= N_j,
+    that no block keeps: a column is kept if its squared norm, the
+    clipped eigenvalue as U_k is orthonormal, is above 1e-12 of the
+    largest ||N_j||_F, and zeroed if not; as W_j <= N_j,
     no eigenvalue is above that scale, and at an exact lift the floor
     drops eigh's rounding.  As the roots come in ascending order, n is
     the most any block keeps.
     F[j] = [M_k, R_j's n columns].
     """
     w, U = np.linalg.eigh(Ns - np.einsum("rk,sk->krs", Ma, Ma))
-    roots = U * np.sqrt(np.maximum(w, 0.0))[:, None, :]
-    sq = np.einsum("jsi,jsi->ji", roots, roots)
-    keep = sq > 1e-12 * np.sqrt(np.einsum("krs,krs->k", Ns, Ns).max(initial=0.0))
+    w = np.maximum(w, 0.0)
+    roots = U * np.sqrt(w)[:, None, :]
+    keep = w > 1e-12 * np.sqrt(np.einsum("krs,krs->k", Ns, Ns).max(initial=0.0))
     lo = np.append(keep.any(axis=0), True).argmax()  # first column kept, or d
     R = roots[:, :, lo:] * keep[:, None, lo:]
     return np.concatenate([Ma.T[:, :, None], R], axis=2)
@@ -175,15 +178,19 @@ class RelaxedRidge:
     training set (X, Zb, y), mlam = m*lam.
 
     The features with a masked entry are ``active`` and Zba holds their
-    masks.  B = [X, Zba[:, j] * X per active feature], G = B'B and B'y
-    are formed once, O(m c^2).  At a point of C, with L the factor of
-    schur_factor and Phi = B L, K = Phi Phi' past rounding, and by
-    Woodbury alpha = (y - Phi v) / (m*lam), (L'GL + m*lam*I) v = L'B'y.
-    The matrix solved has eigenvalues >= m*lam whatever the rank of B,
-    and a ridge step costs O(m c + m d a + a d^3 + c^2 (1 + n) + c_L^3),
-    c_L = d + a n.  K - Phi Phi' = sum_k D_k X E_k X' D_k with E_k the
-    part of N_k - M_k M_k' that L drops, ||E_k|| <= 1e-12 gamma^2, so
-    past rounding
+    masks.  At a point of C, with L the factor of schur_factor and
+    Phi = B L, K = Phi Phi' past rounding, and by Woodbury
+    alpha = (y - Phi v) / (m*lam), (Phi'Phi + m*lam*I) v = Phi'y; the
+    matrix solved has eigenvalues >= m*lam whatever the rank of B.  A
+    step rents Phi (m x c_L, c_L = d + a n <= c), built from X, the
+    masks and F, at a charge of m c_L (c_L + d a), until the charges
+    reach m c^2 / 2, the price of G = B'B; it then buys B, G and B'y
+    once, O(m c^2), and each later step solves with Phi'Phi = L'GL in
+    O(m c + m d a + a d^3 + c^2 (1 + n) + c_L^3).  That rent-or-buy rule
+    costs at most twice the better fixed choice (Karlin et al. 1988),
+    and short solves of a wide B never form G.  K - Phi Phi' =
+    sum_k D_k X E_k X' D_k with E_k the part of N_k - M_k M_k' that L
+    drops, ||E_k|| <= 1e-12 gamma^2, so past rounding
 
         ||(K + m*lam*I) alpha - y|| <= 1e-12 gamma^2 a ||X||_2^2 ||y|| / (m*lam).
     """
@@ -191,39 +198,69 @@ class RelaxedRidge:
     def __init__(self, X, Zb, y, mlam):
         self.active = np.flatnonzero(Zb.any(axis=0))
         self.Zba = Zb[:, self.active]
-        self.B = np.concatenate([X] + [self.Zba[:, [j]] * X for j in range(self.active.size)],
-                                axis=1)
-        self.G, self.By = self.B.T @ self.B, self.B.T @ y
         self.X, self.y, self.mlam = X, y, mlam
+        m, d = X.shape
+        # the rented steps' charges less the price of G, m c^2 / 2
+        self.G, self._rent = None, -0.5 * m * (d * (1 + self.active.size)) ** 2
+
+    def _gram(self):
+        """Buy B = [X, Zba[:, j] * X per active feature], G = B'B and B'y."""
+        X = self.X
+        self.B = np.concatenate([X] + [self.Zba[:, [j]] * X for j in range(self.active.size)], 1)
+        self.G, self.By = self.B.T @ self.B, self.B.T @ self.y
+
+    def _phi(self, F):
+        """Phi = B L from X, the masks and schur_factor's F, O(m d a (1 + n)):
+        the M-imputed rows, then Zba[:, j] * X R_j per active feature."""
+        (a, d, w), m = F.shape, self.X.shape[0]
+        XF = (self.X @ F.transpose(1, 0, 2).reshape(d, a * w)).reshape(m, a, w)
+        XF *= self.Zba[:, :, None]
+        Phi = np.concatenate([self.X, XF[:, :, 1:].reshape(m, a * (w - 1))], axis=1)
+        Phi[:, self.active] += XF[:, :, 0]
+        return Phi
 
     def ridge(self, Ma, Ns):
-        """(f, alpha, (F, A), (c0, s, V)) at the point (Ma, Ns) of C: F its
-        Schur factor, A = L'GL + m*lam*I, and quad_factors of alpha with
-        s on the active features."""
+        """(f, alpha, (F, A, Phi), (c0, s, V)) at the point (Ma, Ns) of C: F
+        its Schur factor, A = L'GL + m*lam*I, Phi = B L on a rented step
+        (None once G is bought), and quad_factors of alpha with s on the
+        active features."""
         F = schur_factor(Ma, Ns)
-        GL = schur_lt(F, self.active, self.G).T  # G L, as G is symmetric
-        H = schur_lt(F, self.active, np.column_stack([GL, self.By]))  # [L'G L, L'B'y]
-        H.flat[:: H.shape[1] + 1] += self.mlam
-        v = np.linalg.solve(H[:, :-1], H[:, -1:])
-        alpha = (self.y - self.B @ schur_l(F, self.active, v)[:, 0]) / self.mlam
+        if self.G is None and self._rent >= 0.0:
+            self._gram()
+        if self.G is None:
+            Phi = self._phi(F)
+            self._rent += Phi.size * (Phi.shape[1] + F.shape[0] * F.shape[1])  # m c_L (c_L + a d)
+            A, rhs = Phi.T @ Phi, Phi.T @ self.y
+        else:
+            Phi = None
+            GL = schur_lt(F, self.active, self.G).T  # G L, as G is symmetric
+            H = schur_lt(F, self.active, np.column_stack([GL, self.By]))  # [L'G L, L'B'y]
+            A, rhs = H[:, :-1], H[:, -1]
+        A.flat[:: A.shape[1] + 1] += self.mlam
+        v = np.linalg.solve(A, rhs)
+        Phi_v = Phi @ v if Phi is not None else self.B @ schur_l(F, self.active, v[:, None])[:, 0]
+        alpha = (self.y - Phi_v) / self.mlam
         c0, s, V = quad_factors(self.X, self.Zba, alpha)
-        return float(self.y @ alpha), alpha, (F, H[:, :-1]), (c0, s[self.active], V)
+        return float(self.y @ alpha), alpha, (F, A, Phi), (c0, s[self.active], V)
 
     def curvature(self, fac, s, V, Dm, Dn):
         """f's second derivative along (Dm, Dn) at the point with ridge
         factors fac and quad_factors pair (s, V): 2 u'(K + m*lam*I)^{-1} u
         for u = K_D alpha = B theta, K_D the part of K linear in (Dm, Dn)
         and theta = S(Dm, Dn) B'alpha less its identity part (s_apply),
-        which by Woodbury is 2 (theta'G theta - w'A^{-1} w) / (m*lam),
-        w = L'G theta."""
-        d = Dm.shape[0]
-        theta = np.zeros(self.B.shape[1])
+        which by Woodbury is 2 (u'u - w'A^{-1} w) / (m*lam), w = Phi'u:
+        from X and the masks on a rented step, through G once bought."""
+        F, A, Phi = fac
+        theta = np.zeros(Dm.shape[0])
         theta[self.active], P = s_apply(s, V, Dm, Dn)
-        theta[d:] = P.T.ravel()
-        F, A = fac
-        Gt = self.G @ theta
-        w = schur_lt(F, self.active, Gt[:, None])[:, 0]
-        return 2.0 * (theta @ Gt - w @ np.linalg.solve(A, w)) / self.mlam
+        if Phi is not None:
+            u = self.X @ theta + np.einsum("ij,ij->i", self.X @ P, self.Zba)
+            uu, w = u @ u, Phi.T @ u
+        else:
+            theta = np.concatenate([theta, P.T.ravel()])
+            Gt = self.G @ theta
+            uu, w = theta @ Gt, schur_lt(F, self.active, Gt[:, None])[:, 0]
+        return 2.0 * (uu - w @ np.linalg.solve(A, w)) / self.mlam
 
 
 def _block_rows(d: int) -> int:

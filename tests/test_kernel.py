@@ -264,7 +264,8 @@ def test_schur_factor_holds_relaxed_kernel(rng):
     feature, feature 0 missing in every row (its block Zb[:, 0] * X is X
     itself, so B repeats d columns and B'B is singular), X = 0, and
     nothing missing (B = X, L = I, K = X X' of rank 4 in 30 rows).
-    RelaxedRidge's B equals the block list bit for bit.  N_k - M_k M_k'
+    The B that RelaxedRidge buys equals the block list bit for bit, and
+    its Phi = B L built from X and the masks matches B L.  N_k - M_k M_k'
     has rank 0 (the exact lift), 1 or d, and L keeps exactly that many
     root columns per block.
     """
@@ -284,7 +285,9 @@ def test_schur_factor_holds_relaxed_kernel(rng):
         d = ds.d
         Zb = 1.0 - ds.Z
         active = np.flatnonzero(Zb.any(axis=0))
-        B = RelaxedRidge(ds.X, Zb, ds.y, 1.0).B
+        obj = RelaxedRidge(ds.X, Zb, ds.y, 1.0)
+        obj._gram()
+        B = obj.B
         blocks = [ds.X] + [Zb[:, [k]] * ds.X for k in active]
         np.testing.assert_array_equal(B, np.concatenate(blocks, axis=1))
         for rank in (0, 1, d):
@@ -295,12 +298,49 @@ def test_schur_factor_holds_relaxed_kernel(rng):
             Y = rng.standard_normal((B.shape[1], 3))
             np.testing.assert_allclose(schur_lt(F, active, Y), L.T @ Y, rtol=0, atol=1e-12)
             Phi = B @ L
+            np.testing.assert_allclose(obj._phi(F), Phi, rtol=0, atol=1e-12)
             K = build_kmn(ds, M, N)
             tol = 1e-11 * max(np.abs(K).max(), 1.0)
             np.testing.assert_allclose(Phi @ Phi.T, K, rtol=0, atol=tol)
             np.testing.assert_allclose(
                 Phi[:, :d], impute_dataset(M, ds.X, ds.Z), rtol=0, atol=1e-12
             )
+
+
+def test_rented_and_bought_ridge_steps_agree(rng):
+    """RelaxedRidge's two products give one ridge step: Phi = B L built
+    from X and the masks (renting) and L'GL through G = B'B (bought, here
+    by calling the private builder) agree on f, alpha, quad_factors and
+    the curvature to 1e-12 relative.
+
+    Feature 1 has nothing masked, so it is not active; N_k - M_k M_k'
+    has rank 0 (the exact lift), 1 or d; the direction is random.
+    """
+    ds = random_corrupted(rng, 40, 4, observed=(1,))
+    Zb = 1.0 - ds.Z
+    active = np.flatnonzero(Zb.any(axis=0))
+    assert 1 not in active and active.size == 3
+
+    def rel(got, want):
+        return np.linalg.norm(np.subtract(got, want)) / np.linalg.norm(want)
+
+    for rank in (0, 1, ds.d):
+        M, N = _point_of_c(rng, ds.d, active, rank)
+        Ma, Ns = M[:, active], N.slices[active]
+        Dm = rng.standard_normal(Ma.shape)
+        Dn = rng.standard_normal(Ns.shape)
+        Dn += Dn.transpose(0, 2, 1)
+        rented, bought = (RelaxedRidge(ds.X, Zb, ds.y, 4.0) for _ in range(2))
+        bought._gram()
+        f, alpha, fac, quad = rented.ridge(Ma, Ns)
+        f_b, alpha_b, fac_b, quad_b = bought.ridge(Ma, Ns)
+        assert rented.G is None and fac[2] is not None and fac_b[2] is None
+        assert f == pytest.approx(f_b, rel=1e-12, abs=0)
+        for got, want in zip((alpha, *quad), (alpha_b, *quad_b)):
+            assert rel(got, want) <= 1e-12, rank
+        curv = rented.curvature(fac, *quad[1:], Dm, Dn)
+        curv_b = bought.curvature(fac_b, *quad_b[1:], Dm, Dn)
+        assert curv == pytest.approx(curv_b, rel=1e-12, abs=0)
 
 
 def test_schur_factor_drops_negligible_roots(rng):

@@ -513,6 +513,23 @@ def test_certified_bound_below_exact_objectives():
             assert bound <= min(exact, relaxed) + 1e-9 * abs(bound)
 
 
+def test_gram_bought_only_by_long_solves(monkeypatch):
+    """RelaxedRidge rents Phi = B L before it buys G = B'B: a short solve
+    of a wide B (c = 72 columns, above m/2 = 50 rows, certified after 2
+    iterations) never forms G, and a long solve of a tall B (c = 20,
+    m = 400) forms it once.  The count is of calls to the private builder."""
+    calls = []
+    gram = RelaxedRidge._gram
+    monkeypatch.setattr(RelaxedRidge, "_gram", lambda self: calls.append(1) or gram(self))
+    wide = random_corrupted(np.random.default_rng(0), 100, 8)
+    got = solve_irr(wide, Hyperparams(2.0**-5, 2.0**-3)).diagnostics
+    assert (1.0 - wide.Z).any(axis=0).all()
+    assert got.converged and got.iterations == 2 and calls == []
+    tall = random_corrupted(np.random.default_rng(0), 400, 4)
+    got = solve_irr(tall, Hyperparams(2.0**-3, 4.0)).diagnostics
+    assert got.converged and got.iterations > 5 and calls == [1]
+
+
 def test_slope_and_curvature_match_differences():
     """Along a segment of C, f's slope -Q_alpha(D) and RelaxedRidge.curvature
     match central differences of f and of the slope (the line search's
