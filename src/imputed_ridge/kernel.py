@@ -34,10 +34,10 @@ use that in three factored forms:
     K = (B L)(B L)' there, B L starts with the M-imputed rows, and as
     each block holds at most n <= d such columns, schur_lt and schur_l
     multiply by L' and L in O(c (1 + n)) per column.
-  * quad_factors and quad_value: a' K a is affine in (M, N) for a fixed
+  * quad_factors and s_apply: a' K a is affine in (M, N) for a fixed
     vector a; quad_factors gives its coefficients from B'a = [s, V[:, k]
-    per block], which are also its gradient, and quad_value evaluates
-    the map at any (M, N).
+    per block], which are also its gradient, and s_apply's (u, P) at any
+    (M, N) gives the map's value there, a' K a - const = s.u + <V, P>.
   * relaxed_apply: K(X0 rows, X rows) alpha for any rows X0, which gives
     dual predictions without forming either matrix, in row blocks of a
     fixed byte size, so no n x d temporary either.
@@ -46,9 +46,8 @@ RelaxedRidge is the ridge objective y' (K + m*lam*I)^{-1} y of one
 training set on the Schur set, with its second derivative along a
 direction: the solver reaches B, L, Phi = B L and B'B only through it,
 and it forms B'B only once a solve has taken enough steps through Phi
-to pay for it.  s_apply is
-the one copy of S(M, N) B'a on the masked blocks: RelaxedRidge's
-curvature and relaxed_apply both call it.
+to pay for it.  s_apply is the one copy of S(M, N) B'a on the masked
+blocks: the solver's slope and curvature and relaxed_apply read it.
 
 Budgets are Frobenius balls: ||M||_F <= gamma and
 sqrt(sum_k ||N_k||_F^2) <= gamma^2.
@@ -83,8 +82,10 @@ class LiftedTensor:
         object.__setattr__(self, "gamma2", float(self.gamma2))
         if slices.ndim != 3 or slices.shape[1] != slices.shape[2]:
             raise ValueError("slices must have shape (k, d, d)")
-        if self.gamma2 < 0:
-            raise ValueError("budget must be nonnegative")
+        if not np.isfinite(slices).all():
+            raise ValueError("slices must be finite")
+        if not 0 <= self.gamma2 < np.inf:
+            raise ValueError(f"budget must be nonnegative and finite, got {self.gamma2}")
         if self.norm > self.gamma2 + FEASIBILITY_SLACK:
             raise ValueError(
                 f"joint norm {self.norm:.6g} exceeds budget {self.gamma2}"
@@ -109,20 +110,12 @@ def quad_factors(X, Zb, a):
     return float(s @ s), s, V
 
 
-def quad_value(s, V, Ma, Ns):
-    """a' K(M, N) a - const = 2 sum_k s_k (M[:, k] . V[:, k]) + sum_k
-    V[:, k]' N_k V[:, k] for quad_factors' (s, V), over the features k of
-    the columns of ``Ma`` and the slices of ``Ns``: linear, O(a d^2)."""
-    return 2.0 * float(s @ np.einsum("rk,rk->k", Ma, V)) + float(
-        np.einsum("krs,rk,sk->", Ns, V, V)
-    )
-
-
 def s_apply(s, V, Ma, Ns):
     """(u, P) with u_k = M_k . V[:, k] and P[:, k] = s_k M_k + N_k V[:, k],
     M_k the columns of ``Ma`` and N_k the slices of ``Ns``: for
     quad_factors' (s, V) of a vector a, S(M, N) B'a is s + sum_k u_k e_k
-    on the X block and P[:, k] on block k.  O(a d^2)."""
+    on the X block and P[:, k] on block k, and a'K(M, N)a - const =
+    s.u + <V, P>.  O(a d^2)."""
     return np.einsum("rk,rk->k", Ma, V), Ma * s + np.einsum("krs,sk->rk", Ns, V)
 
 
@@ -243,24 +236,25 @@ class RelaxedRidge:
         c0, s, V = quad_factors(self.X, self.Zba, alpha)
         return float(self.y @ alpha), alpha, (F, A, Phi), (c0, s[self.active], V)
 
-    def curvature(self, fac, s, V, Dm, Dn):
+    def curvature(self, fac, u, P):
         """f's second derivative along (Dm, Dn) at the point with ridge
-        factors fac and quad_factors pair (s, V): 2 u'(K + m*lam*I)^{-1} u
-        for u = K_D alpha = B theta, K_D the part of K linear in (Dm, Dn)
-        and theta = S(Dm, Dn) B'alpha less its identity part (s_apply),
-        which by Woodbury is 2 (u'u - w'A^{-1} w) / (m*lam), w = Phi'u:
-        from X and the masks on a rented step, through G once bought."""
+        factors fac and quad_factors pair (s, V), (u, P) = s_apply(s, V,
+        Dm, Dn): 2 r'(K + m*lam*I)^{-1} r for r = K_D alpha = B theta, K_D
+        the part of K linear in (Dm, Dn) and theta = S(Dm, Dn) B'alpha less
+        its identity part (u, P), which by Woodbury is 2 (r'r - w'A^{-1} w)
+        / (m*lam), w = Phi'r: from X and the masks on a rented step,
+        through G once bought."""
         F, A, Phi = fac
-        theta = np.zeros(Dm.shape[0])
-        theta[self.active], P = s_apply(s, V, Dm, Dn)
+        theta = np.zeros(self.X.shape[1])
+        theta[self.active] = u
         if Phi is not None:
-            u = self.X @ theta + np.einsum("ij,ij->i", self.X @ P, self.Zba)
-            uu, w = u @ u, Phi.T @ u
+            r = self.X @ theta + np.einsum("ij,ij->i", self.X @ P, self.Zba)
+            rr, w = r @ r, Phi.T @ r
         else:
             theta = np.concatenate([theta, P.T.ravel()])
             Gt = self.G @ theta
-            uu, w = theta @ Gt, schur_lt(F, self.active, Gt[:, None])[:, 0]
-        return 2.0 * (uu - w @ np.linalg.solve(A, w)) / self.mlam
+            rr, w = theta @ Gt, schur_lt(F, self.active, Gt[:, None])[:, 0]
+        return 2.0 * (rr - w @ np.linalg.solve(A, w)) / self.mlam
 
 
 def _block_rows(d: int) -> int:

@@ -7,7 +7,8 @@ column k of M.  K(M, N) - K_exact(M) = sum_k D_k X (N_k - M_k M_k') X' D_k,
 D_k = diag(Zb[:, k]), so every kernel on C is PSD, for any data, and C
 holds every exact lift N_k = M_k M_k'.  On C, f is convex and smooth,
 and since alpha'K alpha is affine in (M, N), at the ridge solution alpha
-of a point (quad_factors' pair (s, V), kernel.quad_value's Q_alpha)
+of a point, with quad_factors' pair (s, V) and Q_alpha(M, N) =
+alpha'K(M, N)alpha - ||X'alpha||^2 = 2 sum_k s_k (M_k . V_k) + sum_k V_k' N_k V_k,
 
     f(P) >= a0 - Q_alpha(P) for every P,  a0 = 2 y'alpha - m*lam ||alpha||^2 - ||X'alpha||^2,
 
@@ -19,12 +20,16 @@ solve_irr runs Frank-Wolfe on that, from M = N = 0; each iteration:
   2. the linear step (_lmo): the maximum of Q_alpha over C and the balls
      at a rank-one point S, with an upper bound G from a two-multiplier
      dual, so a0 - G is a certified lower bound on the relaxed optimum;
+     it reads only this iteration's (s, V), and its dual starts at the
+     multipliers of the maximizer without C's coupling, so one
+     evaluation is exact when that maximizer meets the coupling;
   3. stop when the incumbent is within relative tol of the best bound
      (Diagnostics.gap, a certificate as in Jaggi 2013);
-  4. else a step toward S (_line_search): the Newton step of f along
-     the segment, backtracked on a quadratic model until f descends, so
-     one ridge step as a rule; the segment stays in C and the balls, as
-     they are convex.
+  4. else a step toward S (_line_search): one (u, P) = kernel.s_apply
+     of D = S - (M, N) gives the slope -Q_alpha(D) = -(s.u + <V, P>) and
+     RelaxedRidge.curvature; the Newton step of f along the segment,
+     backtracked on a quadratic model until f descends, so one ridge
+     step as a rule; the segment stays in C and the balls (convex).
 
 With gamma = 0 or nothing missing (or X = 0), G = 0 and the first
 iteration stops: plain ridge on the zero-filled rows, by the same path.
@@ -45,7 +50,7 @@ from typing import ClassVar
 import numpy as np
 
 from .dataset import Dataset
-from .kernel import LiftedTensor, RelaxedRidge, quad_value, relaxed_apply
+from .kernel import LiftedTensor, RelaxedRidge, relaxed_apply, s_apply
 
 # Limits of _line_search (trials) and _lmo (evaluations, relative gap,
 # share of the solve's tol |objective|).
@@ -191,25 +196,24 @@ def solve_irr(train: Dataset, hp: Hyperparams, config: SolverConfig | None = Non
     a = obj.active.size
     Ma, Ns = np.zeros((d, a)), np.zeros((a, d, d))
     upper, alpha, fac, (c0, s, V) = obj.ridge(Ma, Ns)
-    lower, pq = -np.inf, None
-    converged = False
+    lower = -np.inf
 
     for it in range(1, cfg.max_outer + 1):
         # (Ma, Ns) is the incumbent, upper = f there; alpha solves its
         # ridge system (fac), and (c0, s, V) are its quad_factors
         a0 = 2.0 * upper - mlam * float(alpha @ alpha) - c0
-        slack = LMO_SHARE * cfg.tol * abs(upper)
-        bound, Sm, Sn, pq = _lmo(s, V, hp.gamma, pq, slack)
+        bound, Sm, Sn = _lmo(s, V, hp.gamma, LMO_SHARE * cfg.tol * abs(upper))
         lower = max(lower, a0 - bound)
         gap = upper - lower
-        if gap <= cfg.tol * max(abs(upper), 1e-12):
-            converged = True
+        converged = gap <= cfg.tol * max(abs(upper), 1e-12)
+        if converged or it == cfg.max_outer:
             break
         Dm, Dn = Sm - Ma, Sn - Ns
-        g0 = -quad_value(s, V, Dm, Dn)  # slope of f from (Ma, Ns) toward S
-        if it == cfg.max_outer or not g0 < 0.0:
-            break  # out of iterations, or no descent direction above rounding
-        eta = min(1.0, -g0 / max(obj.curvature(fac, s, V, Dm, Dn), 1e-300))
+        u, P = s_apply(s, V, Dm, Dn)
+        g0 = -float(s @ u + np.vdot(V, P))  # slope of f from (Ma, Ns) toward S
+        if not g0 < 0.0:
+            break  # no descent direction above rounding
+        eta = min(1.0, -g0 / max(obj.curvature(fac, u, P), 1e-300))
         trial = _line_search(obj, Ma, Ns, Dm, Dn, upper, g0, eta)
         if not trial[0] < upper:
             break  # no trial improved on the incumbent: descent is below rounding
@@ -247,11 +251,11 @@ def _line_search(obj, Ma, Ns, Dm, Dn, f0, g0, eta):
     return best
 
 
-def _lmo(s, V, gamma, pq, slack=0.0):
+def _lmo(s, V, gamma, slack=0.0):
     """Maximize Q_alpha over C and the balls, for quad_factors' (s, V) on
-    the active features: (G, Sm, Sn, pq), an upper bound G, a point of C
+    the active features: (G, Sm, Sn), an upper bound G and a point of C
     in both balls with Q within max(LMO_RTOL G, slack) of G (unless
-    LMO_STEPS ran out), and the multipliers to warm-start the next call.
+    LMO_STEPS ran out).  It reads only this iteration's (s, V).
 
     As v'N_k v >= (M_k . v)^2 on C, the maximum is attained at M_k =
     gamma mu_k sign(s_k) V^_k, N_k = gamma^2 nu_k V^_k V^_k', V^_k =
@@ -264,30 +268,29 @@ def _lmo(s, V, gamma, pq, slack=0.0):
     in closed form (_lmo_inner).  Damped Newton steps lower the convex G
     until the maximizers, scaled into the balls, come close; stopping
     early only loosens G.  b and c are divided by their largest entry,
-    so (p, q) are of order one.  One live feature has mu = nu = 1.
+    so (p, q) are of order one.  The start p = ||b|| / 2, q = ||c|| / 2
+    holds the multipliers of mu = b / ||b||, nu = c / ||c||, the maximizer
+    without the coupling nu >= mu^2: where that point meets it, G =
+    ||b|| + ||c|| at the first evaluation.  A feature with b_k = c_k = 0
+    adds zeros to every sum; if one feature alone has b_k + c_k > 0,
+    mu = nu = 1 there.
     """
     d, a = V.shape
     nv = np.sqrt(np.einsum("rk,rk->k", V, V))
     b = 2.0 * gamma * np.abs(s) * nv
     c = gamma * gamma * nv * nv
     top = max(float(b.max(initial=0.0)), float(c.max(initial=0.0)))
-    Sm, Sn = np.zeros((d, a)), np.zeros((a, d, d))
     if top == 0.0:
-        return 0.0, Sm, Sn, pq  # Q is 0 on the whole set: gamma = 0 or V = 0
+        return 0.0, np.zeros((d, a)), np.zeros((a, d, d))  # Q = 0 on C: gamma = 0 or V = 0
     live = (b > 0.0) | (c > 0.0)
     if live.sum() == 1:
         # one feature: mu = nu = 1 meets both balls, and G = b + c is that
         # point's value (the optimal (p, q) form a line, where Newton stalls)
         nu = live.astype(float)
         mu = nu * (b > 0.0)
-        return _rank_one(V, nv, s, gamma, mu, nu) + (pq,)
-    b, c = b[live] / top, c[live] / top
-    if not b.any():
-        p, q = 0.0, float(np.linalg.norm(c)) / 2.0
-    elif pq is None:
-        p, q = float(np.linalg.norm(b)) / 2.0, max(float(np.linalg.norm(c)), 1e-6) / 2.0
-    else:
-        p, q = pq
+        return (float(b @ mu + c @ nu),) + _rank_one(V, nv, s, gamma, mu, nu)
+    b, c = b / top, c / top
+    p, q = float(np.linalg.norm(b)) / 2.0, max(float(np.linalg.norm(c)), 1e-6) / 2.0
     bl, cl = b.tolist(), c.tolist()
     best_G, best_P = np.inf, -np.inf
     base = None  # (G, p, q, slope) where the last Newton step started
@@ -296,8 +299,7 @@ def _lmo(s, V, gamma, pq, slack=0.0):
         G, (gp, gq), (hpp, hpq, hqq), mu, nu, bm, cn = _lmo_inner(bl, cl, p, q)
         t = 1.0 / max(1.0, math.sqrt(1.0 - gp), math.sqrt(math.sqrt(1.0 - gq)))
         P = t * bm + t * t * cn
-        if G < best_G:
-            best_G, best_pq = G, (p, q)
+        best_G = min(best_G, G)
         if P > best_P:
             best_P, best_t, best_mu, best_nu = P, t, mu, nu
         if best_G - best_P <= max(LMO_RTOL * best_G, slack / top):
@@ -332,20 +334,17 @@ def _lmo(s, V, gamma, pq, slack=0.0):
             step = min(step, 3.0 * q / dq if dq > 0.0 else 0.75 * q / -dq)
         base = (G, p, q, gp * dp + gq * dq)
         p, q = max(p + step * dp, 0.0), q + step * dq
-    mu, nu = np.zeros(a), np.zeros(a)
-    mu[live], nu[live] = best_t * np.array(best_mu), best_t * best_t * np.array(best_nu)
-    _, Sm, Sn = _rank_one(V, nv, s, gamma, mu, nu)
-    return best_G * top, Sm, Sn, best_pq
+    mu, nu = best_t * np.array(best_mu), best_t * best_t * np.array(best_nu)
+    return (best_G * top,) + _rank_one(V, nv, s, gamma, mu, nu)
 
 
 def _rank_one(V, nv, s, gamma, mu, nu):
-    """(Q, M, N) at M_k = gamma mu_k sign(s_k) V^_k, N_k = gamma^2 nu_k V^_k V^_k',
+    """(M, N) at M_k = gamma mu_k sign(s_k) V^_k, N_k = gamma^2 nu_k V^_k V^_k',
     V^_k = V_k / ||V_k|| (nv holds the norms)."""
     Vh = V / np.where(nv > 0.0, nv, 1.0)
     Sm = Vh * (gamma * mu * np.sign(s))
     Sn = (gamma * gamma * nu)[:, None, None] * np.einsum("rk,sk->krs", Vh, Vh)
-    Q = float(2.0 * gamma * (np.abs(s) * nv) @ mu + gamma * gamma * (nv * nv) @ nu)
-    return Q, Sm, Sn
+    return Sm, Sn
 
 
 def _lmo_inner(b, c, p, q):

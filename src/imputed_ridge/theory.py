@@ -37,6 +37,8 @@ class BoundInputs:
     m: int
 
     def __post_init__(self):
+        if not all(np.isfinite([self.B, self.R, self.gamma, self.lam, self.d, self.m])):
+            raise ValueError("B, R, gamma, lam, d and m must be finite")
         if self.B < 0 or self.R < 0 or self.gamma < 0:
             raise ValueError("B, R, gamma must be nonnegative")
         if self.lam <= 0:

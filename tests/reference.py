@@ -7,7 +7,9 @@ form can be checked against the plain matrix:
 
   * lift: the exact lift N_k = M_k M_k' of an imputation map,
   * build_km: the exact Gram of the rows imputed through M,
-  * build_kmn: the relaxed Gram B S(M, N) B' at any (M, N).
+  * build_kmn: the relaxed Gram B S(M, N) B' at any (M, N),
+  * quad_value: a' K(M, N) a less its constant, from quad_factors'
+    (s, V), term by term.
 
 The solver's linear step evaluates its dual one feature at a time in
 scalar arithmetic; lmo_inner and cubic_root are the same formulas over
@@ -39,6 +41,15 @@ def build_km(train: Dataset, M) -> np.ndarray:
     Ximp = impute_dataset(M, train.X, train.Z)
     G = Ximp @ Ximp.T
     return 0.5 * (G + G.T)
+
+
+def quad_value(s, V, Ma, Ns) -> float:
+    """2 sum_k s_k (Ma[:, k] . V[:, k]) + sum_k V[:, k]' Ns[k] V[:, k], one
+    feature at a time: a' K a less a' X X' a for quad_factors' (s, V) of a."""
+    total = 0.0
+    for k in range(V.shape[1]):
+        total += 2.0 * s[k] * (Ma[:, k] @ V[:, k]) + V[:, k] @ Ns[k] @ V[:, k]
+    return float(total)
 
 
 def build_kmn(train: Dataset, M, N: LiftedTensor) -> np.ndarray:

@@ -6,14 +6,14 @@ from imputed_ridge.kernel import (
     RelaxedRidge,
     _block_rows,
     quad_factors,
-    quad_value,
     relaxed_apply,
+    s_apply,
     schur_factor,
     schur_l,
     schur_lt,
 )
 from tests.conftest import flat_row, random_corrupted
-from tests.reference import build_km, build_kmn, lift
+from tests.reference import build_km, build_kmn, lift, quad_value
 
 
 def random_lifted(rng, d, scale=0.5):
@@ -338,8 +338,8 @@ def test_rented_and_bought_ridge_steps_agree(rng):
         assert f == pytest.approx(f_b, rel=1e-12, abs=0)
         for got, want in zip((alpha, *quad), (alpha_b, *quad_b)):
             assert rel(got, want) <= 1e-12, rank
-        curv = rented.curvature(fac, *quad[1:], Dm, Dn)
-        curv_b = bought.curvature(fac_b, *quad_b[1:], Dm, Dn)
+        curv = rented.curvature(fac, *s_apply(*quad[1:], Dm, Dn))
+        curv_b = bought.curvature(fac_b, *s_apply(*quad_b[1:], Dm, Dn))
         assert curv == pytest.approx(curv_b, rel=1e-12, abs=0)
 
 
@@ -392,5 +392,14 @@ def test_schur_factor_exact_lift_has_no_root_columns():
 def test_lifted_tensor_budget():
     with pytest.raises(ValueError):
         LiftedTensor(np.ones((2, 2, 2)), gamma2=1.0)
+    # a NaN fails every < and > test, so each non-finite field is rejected as such
+    for slices, gamma2 in [
+        (np.full((1, 2, 2), np.nan), 1.0),
+        (np.full((1, 2, 2), np.inf), 1.0),
+        (np.zeros((1, 2, 2)), np.nan),
+        (np.zeros((1, 2, 2)), np.inf),
+    ]:
+        with pytest.raises(ValueError, match="finite"):
+            LiftedTensor(slices, gamma2)
     t = LiftedTensor(0.5 * np.ones((2, 2, 2)), gamma2=2.0)
     assert t.norm == pytest.approx(np.sqrt(2.0))

@@ -19,10 +19,11 @@ from imputed_ridge import (
     solve_irr,
 )
 from imputed_ridge import kernel as kernel_module
-from imputed_ridge.kernel import RelaxedRidge, quad_value, schur_factor
+from imputed_ridge import solver as solver_module
+from imputed_ridge.kernel import RelaxedRidge, s_apply, schur_factor
 from imputed_ridge.solver import LINE_TRIALS, _line_search, _lmo, _lmo_inner
 from tests.conftest import random_corrupted
-from tests.reference import build_km, build_kmn, lmo_inner
+from tests.reference import build_km, build_kmn, lmo_inner, quad_value
 
 
 @pytest.fixture
@@ -414,13 +415,12 @@ def test_lmo_bound_covers_points_of_c(gamma):
     in both balls, and its vertex is such a point with Q within 1e-9 of G.
 
     Q_alpha(M, N) = 2 sum_k s_k (M_k . V_k) + sum_k V_k' N_k V_k, sampled at
-    random points and at rank-one points aligned with V; a cold and a
-    warm start give the same bound.
+    random points and at rank-one points aligned with V.
     """
     rng = np.random.default_rng(int(np.log2(gamma)) + 20)
     for s, V in _lmo_cases(rng):
         d, a = V.shape
-        G, Sm, Sn, pq = _lmo(s, V, gamma, None)
+        G, Sm, Sn = _lmo(s, V, gamma)
         assert np.isfinite(G) and G >= 0.0
         assert np.linalg.norm(Sm) <= gamma * (1.0 + 1e-12)
         assert np.linalg.norm(Sn) <= gamma * gamma * (1.0 + 1e-12)
@@ -430,9 +430,26 @@ def test_lmo_bound_covers_points_of_c(gamma):
         assert G * (1.0 - 1e-9) <= top <= G * (1.0 + 1e-12)
         for M, N in _points_of_c(rng, d, a, gamma, s, V):
             assert quad_value(s, V, M, N) <= G * (1.0 + 1e-12)
-        if pq is not None:  # None: closed form, with no multipliers
-            G2 = _lmo(s, V, gamma, (pq[0] * 3.0, pq[1] / 2.0))[0]
-            assert G2 == pytest.approx(G, rel=1e-9)
+
+
+@pytest.mark.parametrize("gamma", [2.0**-7, 1.0, 4.0])
+def test_lmo_cold_start_exact_without_coupling(gamma, monkeypatch):
+    """Three features with equal |s_k| and equal ||V_k||: the maximizer
+    without the coupling, mu = b / ||b|| and nu = c / ||c||, has
+    mu_k^2 = 1/3 <= nu_k = 1/sqrt(3), so it is feasible, and the start
+    at its multipliers is exact: one _lmo_inner call, G = ||b|| + ||c||."""
+    calls = []
+    inner = solver_module._lmo_inner
+    monkeypatch.setattr(solver_module, "_lmo_inner", lambda *args: calls.append(1) or inner(*args))
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(4)
+    V = np.column_stack([v, -v[::-1], np.roll(v, 1)])
+    s = 0.7 * np.array([1.0, -1.0, 1.0])
+    G, Sm, Sn = _lmo(s, V, gamma)
+    nv = np.linalg.norm(V, axis=0)
+    b, c = 2.0 * gamma * np.abs(s) * nv, gamma * gamma * nv * nv
+    assert calls == [1]
+    assert G == pytest.approx(np.linalg.norm(b) + np.linalg.norm(c), rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("gamma", [2.0**-7, 4.0])
@@ -446,7 +463,7 @@ def test_lmo_finite_without_runtime_warnings(gamma):
         warnings.simplefilter("error")
         try:
             for s, V in cases:
-                out = _lmo(s, V, gamma, None)
+                out = _lmo(s, V, gamma)
                 assert np.isfinite(out[0])
                 assert np.isfinite(out[1]).all() and np.isfinite(out[2]).all()
             ds = random_corrupted(rng, 40, 4)
@@ -551,17 +568,20 @@ def test_slope_and_curvature_match_differences():
         f, g, fac, s, V = at(eta)
         (fp, gp, *_), (fm, gm, *_) = at(eta + h), at(eta - h)
         assert g == pytest.approx((fp - fm) / (2 * h), rel=1e-6)
-        assert obj.curvature(fac, s, V, Dm, Dn) == pytest.approx((gp - gm) / (2 * h), rel=1e-5)
+        curv = obj.curvature(fac, *s_apply(s, V, Dm, Dn))
+        assert curv == pytest.approx((gp - gm) / (2 * h), rel=1e-5)
 
 
 def test_one_quad_factors_per_ridge_step(monkeypatch):
     """A solve takes one ridge step per iteration and forms quad_factors
     once per ridge step: the start's, then the accepted Newton step of
     each iteration but the last, which stops.  The main loop reuses the
-    pair its ridge step gave.  The count is of the name RelaxedRidge.ridge
-    looks up in the kernel module."""
-    calls = {"ridge": 0, "quad": 0}
-    ridge, quad = RelaxedRidge.ridge, kernel_module.quad_factors
+    pair its ridge step gave, and forms the direction's s_apply pair once
+    per iteration that steps, for the slope and the curvature both.  The
+    counts are of the names RelaxedRidge.ridge looks up in the kernel
+    module and solve_irr in the solver module."""
+    calls = {"ridge": 0, "quad": 0, "s_apply": 0}
+    ridge, quad, apply = RelaxedRidge.ridge, kernel_module.quad_factors, solver_module.s_apply
 
     def counted_ridge(*args, **kwargs):
         calls["ridge"] += 1
@@ -571,12 +591,18 @@ def test_one_quad_factors_per_ridge_step(monkeypatch):
         calls["quad"] += 1
         return quad(*args)
 
+    def counted_apply(*args):
+        calls["s_apply"] += 1
+        return apply(*args)
+
     monkeypatch.setattr(RelaxedRidge, "ridge", counted_ridge)
     monkeypatch.setattr(kernel_module, "quad_factors", counted_quad)
+    monkeypatch.setattr(solver_module, "s_apply", counted_apply)
     ds = random_corrupted(np.random.default_rng(9), 40, 4)
     sol = solve_irr(ds, Hyperparams(lam=2.0**-5, gamma=0.8))
-    assert sol.diagnostics.iterations > 1
+    assert sol.diagnostics.iterations > 1 and sol.diagnostics.converged
     assert calls["quad"] == calls["ridge"] == sol.diagnostics.iterations
+    assert calls["s_apply"] == sol.diagnostics.iterations - 1
 
 
 class _Stub:

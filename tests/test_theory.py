@@ -79,6 +79,12 @@ def test_inputs_validation():
         BoundInputs(B=1.0, R=1.0, gamma=0.0, lam=0.0, d=1, m=1)
     with pytest.raises(ValueError):
         BoundInputs(B=1.0, R=1.0, gamma=0.0, lam=1.0, d=0, m=1)
+    # a NaN fails every < and > test, so each non-finite field is rejected as such
+    base = dict(B=1.0, R=1.0, gamma=0.0, lam=1.0, d=1, m=1)
+    for key, bad in [("B", math.nan), ("R", math.inf), ("gamma", math.nan),
+                     ("lam", math.inf), ("d", math.nan), ("m", math.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            BoundInputs(**{**base, key: bad})
 
 
 def test_inputs_from_dataset(rng):
